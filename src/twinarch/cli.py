@@ -52,6 +52,17 @@ def _read_input(path: str | None) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _tick_count(text: str) -> int:
+    """argparse type for --ticks: a whole number of at least 1."""
+    try:
+        ticks = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
+    if ticks < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {ticks}")
+    return ticks
+
+
 def _parse_map(pairs: list[str]) -> dict[str, str]:
     mapping = {}
     for pair in pairs:
@@ -458,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop", required=True,
                    choices=["monitoring", "prediction"])
     p.add_argument("--config", required=True, help="run manifest JSON")
-    p.add_argument("--ticks", type=int, help="override the manifest tick count")
+    p.add_argument("--ticks", type=_tick_count,
+                   help="override the manifest tick count (at least 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true",
                    help="check the trace against the sequence template")

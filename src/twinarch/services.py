@@ -31,7 +31,7 @@ from .errors import (InsufficientHistory, MissingThreshold, NoFeasibleSolution,
                      NotFound, UnmappableAction)
 from .shadows import ShadowManager
 from .simulation import SimScenario
-from .storage import Namespace, Query, RecordKey, SharedStorage
+from .storage import Namespace, RecordKey, SharedStorage
 from .wire.common import Scalar
 
 
@@ -185,20 +185,16 @@ class StateMonitor:
         self._clock = clock
 
     def _shadow_latest(self, entity_id: str) -> dict[str, tuple[datetime, Scalar]]:
-        latest: dict[str, tuple[datetime, Scalar]] = {}
-        for shadow in self.shadow_manager.get_shadow(entity_id=entity_id):
-            for point in shadow.trace:
-                current = latest.get(point.attribute)
-                if current is None or point.observed_at >= current[0]:
-                    latest[point.attribute] = (point.observed_at, point.value)
-        return latest
+        return {attribute: (point.observed_at, point.value)
+                for attribute, point in
+                self.shadow_manager.latest_points(entity_id).items()}
 
     def _sim_latest(self, entity_id: str) -> dict[str, tuple[datetime, float]]:
-        records = self.storage.crud_read(Query(
-            namespace=Namespace.SIM_RESULTS, entity_id=entity_id))
-        if not records:
+        # the last result in read order: (observed_at, scenario id)
+        record = self.storage.latest(Namespace.SIM_RESULTS, entity_id)
+        if record is None:
             return {}
-        body = records[-1].body
+        body = record.body
         if not isinstance(body, dict) or not body.get("series"):
             return {}
         scenario = body.get("scenario", {})

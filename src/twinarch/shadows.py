@@ -3,12 +3,15 @@
 A shadow type names a set of attributes for one entity type; a shadow
 is the time-ordered trace of those attributes for one entity. Trace
 points live in the Shadows namespace of shared storage under the key
-name `<type>.<attribute>`; the manager itself holds only an index, so
-a journal replay reconstructs every trace bit-identically.
+name `<type>.<attribute>`. The manager itself holds only an index and
+the newest point of each shadow attribute, both rebuilt from storage
+by `rebuild_index`, so a journal replay reconstructs every trace
+bit-identically.
 
 Out-of-order telemetry is inserted at its timestamp position and
-flagged `late`; consumers that want "current" values read the latest
-point by timestamp.
+flagged `late`; consumers that want "current" values read the newest
+point of each attribute (`latest_points`), which costs the same
+however long the traces are.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .errors import DuplicateShadow, InvalidQuery, NotFound
-from .storage import Namespace, Query, RecordKey, SharedStorage
+from .storage import Namespace, Query, Record, RecordKey, SharedStorage
 from .wire.common import Measurement, Scalar
 
 
@@ -46,6 +49,12 @@ class TracePoint:
     attribute: str
     value: Scalar
     late: bool = False
+
+
+def _trace_point(record: Record, attribute: str) -> TracePoint:
+    body = record.body if isinstance(record.body, dict) else {}
+    return TracePoint(observed_at=record.key.observed_at, attribute=attribute,
+                      value=body.get("value"), late=bool(body.get("late")))
 
 
 @dataclass
@@ -85,6 +94,9 @@ class ShadowManager:
         self._index: dict[tuple[str, str], str] = {}
         self._types: dict[str, ShadowType] = {}
         self._meta: dict[str, tuple[ShadowType, str, datetime]] = {}
+        # shadow_id -> attribute -> the newest point of its trace, the
+        # same point get_shadow would end the attribute's series with
+        self._latest: dict[str, dict[str, TracePoint]] = {}
 
     def register_type(self, shadow_type: ShadowType) -> None:
         with self._lock:
@@ -92,7 +104,8 @@ class ShadowManager:
 
     def rebuild_index(self) -> int:
         """Re-attach to shadows already present in storage (e.g. after
-        journal replay). Reads descriptors only; writes nothing."""
+        journal replay). Reads descriptors and each re-attached shadow's
+        points, for their newest points; writes nothing."""
         count = 0
         with self._lock:
             for record in self.storage.crud_read(Query(namespace=Namespace.SHADOWS)):
@@ -107,11 +120,26 @@ class ShadowManager:
                 if pair in self._index:
                     continue
                 self._types.setdefault(shadow_type.name, shadow_type)
-                self._index[pair] = body["shadow_id"]
-                self._meta[body["shadow_id"]] = (
-                    shadow_type, record.key.entity_id, record.key.observed_at)
+                self._attach(shadow_type, record.key.entity_id,
+                             body["shadow_id"], record.key.observed_at)
                 count += 1
         return count
+
+    def _attach(self, shadow_type: ShadowType, entity_id: str,
+                shadow_id: str, created_at: datetime) -> None:
+        """Index a shadow and take its newest points from the points
+        already in storage (none for a new shadow)."""
+        self._index[(shadow_type.name, entity_id)] = shadow_id
+        self._meta[shadow_id] = (shadow_type, entity_id, created_at)
+        latest = self._latest[shadow_id] = {}
+        prefix = f"{shadow_type.name}."
+        # read order is (observed_at, name): the last point read wins
+        for record in self.storage.crud_read(Query(
+                namespace=Namespace.SHADOWS, entity_id=entity_id)):
+            name = record.key.name
+            attribute = name[len(prefix):]
+            if name.startswith(prefix) and attribute != "__descriptor__":
+                latest[attribute] = _trace_point(record, attribute)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -125,8 +153,7 @@ class ShadowManager:
                 raise DuplicateShadow(
                     f"shadow for {pair} already exists: {self._index[pair]}")
             shadow_id = f"{shadow_type.name}:{entity_id}"
-            self._index[pair] = shadow_id
-            self._meta[shadow_id] = (shadow_type, entity_id, created_at)
+            self._attach(shadow_type, entity_id, shadow_id, created_at)
             descriptor = RecordKey(
                 namespace=Namespace.SHADOWS, entity_id=entity_id,
                 name=f"{shadow_type.name}.__descriptor__",
@@ -161,6 +188,7 @@ class ShadowManager:
                 raise NotFound(f"no shadow {shadow_id!r}")
             shadow_type, entity_id, _ = meta
             del self._index[(shadow_type.name, entity_id)]
+            del self._latest[shadow_id]
             prefix = f"{shadow_type.name}."
             for record in self.storage.crud_read(Query(
                     namespace=Namespace.SHADOWS, entity_id=entity_id)):
@@ -172,11 +200,17 @@ class ShadowManager:
     def _put_point(self, shadow_type: ShadowType, entity_id: str,
                    attribute: str, observed_at: datetime, value: object,
                    late: bool) -> None:
+        shadow_id = f"{shadow_type.name}:{entity_id}"
         key = RecordKey(namespace=Namespace.SHADOWS, entity_id=entity_id,
                         name=f"{shadow_type.name}.{attribute}",
                         observed_at=observed_at)
         self.storage.upsert(key, {"value": value, "late": late,
-                                  "shadow_id": f"{shadow_type.name}:{entity_id}"})
+                                  "shadow_id": shadow_id})
+        latest = self._latest[shadow_id]
+        current = latest.get(attribute)
+        if current is None or observed_at >= current.observed_at:
+            latest[attribute] = TracePoint(observed_at, attribute, value,
+                                           late)
 
     def update_from_measurement(self, m: Measurement) -> list[str]:
         """Append a trace point to every shadow covering the measurement."""
@@ -188,25 +222,14 @@ class ShadowManager:
                 shadow_type = self._types[type_name]
                 if not shadow_type.covers(m):
                     continue
-                newest = self._newest_stamp(shadow_type, entity_id)
+                newest = max((p.observed_at
+                              for p in self._latest[shadow_id].values()),
+                             default=None)
                 late = newest is not None and m.observed_at < newest
                 self._put_point(shadow_type, entity_id, m.attribute,
                                 m.observed_at, m.value, late=late)
                 updated.append(shadow_id)
         return updated
-
-    def _newest_stamp(self, shadow_type: ShadowType,
-                      entity_id: str) -> datetime | None:
-        prefix = f"{shadow_type.name}."
-        newest = None
-        for record in self.storage.crud_read(Query(
-                namespace=Namespace.SHADOWS, entity_id=entity_id)):
-            name = record.key.name
-            if not name.startswith(prefix) or name.endswith(".__descriptor__"):
-                continue
-            if newest is None or record.key.observed_at > newest:
-                newest = record.key.observed_at
-        return newest
 
     # -- queries -----------------------------------------------------------------
 
@@ -232,6 +255,22 @@ class ShadowManager:
                                               time_from, time_to))
             return hits
 
+    def latest_points(self, entity_id: str) -> dict[str, TracePoint]:
+        """The newest point of each attribute over the entity's shadows,
+        from memory: no trace is read. When two shadows hold an
+        attribute at the same instant, the later shadow id wins."""
+        latest: dict[str, TracePoint] = {}
+        with self._lock:
+            for shadow_id, (_, owner, _) in sorted(self._meta.items()):
+                if owner != entity_id:
+                    continue
+                for attribute, point in self._latest[shadow_id].items():
+                    current = latest.get(attribute)
+                    if (current is None
+                            or point.observed_at >= current.observed_at):
+                        latest[attribute] = point
+        return latest
+
     def _materialize(self, shadow_type: ShadowType, entity_id: str,
                      created_at: datetime,
                      time_from: datetime | None,
@@ -248,10 +287,7 @@ class ShadowManager:
             attribute = record_name[len(prefix):]
             if attribute == "__descriptor__":
                 continue
-            body = record.body if isinstance(record.body, dict) else {}
-            points.append(TracePoint(
-                observed_at=record.key.observed_at, attribute=attribute,
-                value=body.get("value"), late=bool(body.get("late"))))
+            points.append(_trace_point(record, attribute))
         points.sort(key=lambda p: (p.observed_at, p.attribute))
         return Shadow(shadow_id=f"{shadow_type.name}:{entity_id}",
                       type=shadow_type, entity_id=entity_id,

@@ -6,6 +6,26 @@ and consumers never talk to each other directly; everything flows
 through here (shared-data style). Per-key operations are atomic and
 linearizable; subscribers observe commits in commit order.
 
+Reads go through an index: one key list per (namespace, entity_id),
+sorted by (observed_at, name) and kept sorted with `bisect` on every
+create and delete. What a read costs, for k records returned:
+
+* `crud_read` of one entity: a bisect slice of its time range,
+  O(log n + k), plus a pass over the slice when it names an attribute.
+* `crud_read` across entities: the slices of every entity of the
+  namespace merged in (observed_at, entity_id, name) order,
+  O(n_entities + k log n_entities).
+* `latest(namespace, entity_id)`: the entity's last key, O(1).
+  `latest(namespace, entity_id, name)` walks back from there to the
+  newest key of that name, so it is O(1) when an entity's names are
+  written together and a walk of the entity's keys when the name has
+  none.
+
+A new key costs one comparison and an append when it arrives in time
+order, a binary search and a list insert when it arrives late. Each
+namespace also keeps its keys in insertion order, for `count` and for
+cap eviction (oldest first).
+
 Journal line format, one JSON object per line:
 
     {"key": {"namespace", "entity_id", "name", "observed_at"},
@@ -17,10 +37,14 @@ are writes.
 
 from __future__ import annotations
 
+import bisect
 import fnmatch
+import heapq
+import itertools
 import json
 import queue
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -46,7 +70,6 @@ class RecordKey:
     entity_id: str
     name: str                 # attribute or record name within the entity
     observed_at: datetime
-
     def to_json(self) -> dict:
         return {"namespace": self.namespace.value,
                 "entity_id": self.entity_id,
@@ -54,11 +77,22 @@ class RecordKey:
                 "observed_at": format_rfc3339(self.observed_at)}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "RecordKey":
-        return cls(namespace=Namespace(doc["namespace"]),
-                   entity_id=doc["entity_id"],
-                   name=doc["name"],
-                   observed_at=parse_rfc3339(doc["observed_at"]))
+    def from_json(cls, doc: dict,
+                  stamps: dict[str, datetime] | None = None) -> "RecordKey":
+        """`stamps`, when given, keeps the timestamps parsed so far, so
+        that keys sharing a stamp parse it once."""
+        namespace = Namespace(doc["namespace"])
+        entity_id, name = doc["entity_id"], doc["name"]
+        text = doc["observed_at"]
+        observed_at = None
+        if stamps is not None and isinstance(text, str):
+            observed_at = stamps.get(text)
+        if observed_at is None:
+            observed_at = parse_rfc3339(text)
+            if stamps is not None:
+                stamps[text] = observed_at
+        return cls(namespace=namespace, entity_id=entity_id, name=name,
+                   observed_at=observed_at)
 
 
 @dataclass(frozen=True)
@@ -84,25 +118,6 @@ class Query:
                 f"empty range: {self.time_from} >= {self.time_to}")
         if self.limit is not None and self.limit < 1:
             raise InvalidQuery(f"limit must be >= 1, got {self.limit}")
-
-    def matches(self, key: RecordKey) -> bool:
-        if key.namespace is not self.namespace:
-            return False
-        if self.entity_id is not None and key.entity_id != self.entity_id:
-            return False
-        if self.attribute is not None and key.name != self.attribute:
-            return False
-        if self.time_from is not None and key.observed_at < self.time_from:
-            return False
-        if self.time_to is not None and key.observed_at >= self.time_to:
-            return False
-        return True
-
-
-# Records tie-broken beyond observed_at so reads are fully deterministic.
-def _read_order(record: Record) -> tuple:
-    k = record.key
-    return (k.observed_at, k.entity_id, k.name)
 
 
 @dataclass
@@ -137,8 +152,12 @@ class SharedStorage:
                  namespace_caps: dict[Namespace, int] | None = None) -> None:
         self._lock = threading.RLock()
         self._records: dict[RecordKey, Record] = {}
-        self._insertion: dict[Namespace, list[RecordKey]] = {
-            ns: [] for ns in Namespace}
+        # keys of each namespace in insertion order (a set with order)
+        self._insertion: dict[Namespace, OrderedDict[RecordKey, None]] = {
+            ns: OrderedDict() for ns in Namespace}
+        # namespace -> entity_id -> [(observed_at, name, key)], sorted
+        self._index: dict[Namespace, dict[str, list[tuple]]] = {
+            ns: {} for ns in Namespace}
         self._subscriptions: list[Subscription] = []
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._caps = dict(namespace_caps or {})
@@ -166,29 +185,69 @@ class SharedStorage:
                clock: Callable[[], datetime] | None = None) -> "SharedStorage":
         """Rebuild a store from its journal. The copy does not re-journal."""
         store = cls(journal_path=None, clock=clock)
+        # the lines of one tick share a stamp, so each is parsed once
+        stamps: dict[str, datetime] = {}
         with open(journal_path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 doc = json.loads(line)
-                key = RecordKey.from_json(doc["key"])
+                key = RecordKey.from_json(doc["key"], stamps)
+                present = key in store._records
                 if doc.get("op") == "delete":
-                    store._records.pop(key, None)
-                    ins = store._insertion[key.namespace]
-                    if key in ins:
-                        ins.remove(key)
+                    if present:
+                        store._remove(key)
                     continue
-                if key not in store._records:
-                    store._insertion[key.namespace].append(key)
-                store._records[key] = Record(key=key, body=doc["body"],
-                                             revision=doc["revision"])
+                record = Record(key=key, body=doc["body"],
+                                revision=doc["revision"])
+                if present:
+                    store._records[key] = record
+                else:
+                    store._insert(record)
         return store
 
     def close(self) -> None:
         if self._journal_file is not None:
             self._journal_file.close()
             self._journal_file = None
+
+    # -- index --------------------------------------------------------------
+
+    def _insert(self, record: Record) -> None:
+        """Add a record under a key not yet present. Caller holds the lock."""
+        key = record.key
+        self._records[key] = record
+        self._insertion[key.namespace][key] = None
+        entries = self._index[key.namespace].setdefault(key.entity_id, [])
+        # (observed_at, name) is unique within an entity, so the key
+        # itself is never compared
+        entry = (key.observed_at, key.name, key)
+        if entries and entry < entries[-1]:
+            bisect.insort(entries, entry)
+        else:
+            entries.append(entry)   # in-order arrival, the common case
+
+    def _remove(self, key: RecordKey) -> Record:
+        """Drop a present key and return its record. Caller holds the lock."""
+        record = self._records.pop(key)
+        del self._insertion[key.namespace][key]
+        entities = self._index[key.namespace]
+        entries = entities[key.entity_id]
+        del entries[bisect.bisect_left(entries, (key.observed_at, key.name))]
+        if not entries:
+            del entities[key.entity_id]
+        return record
+
+    @staticmethod
+    def _time_slice(entries: list[tuple], query: Query) -> list[tuple]:
+        # (t,) sorts before every (t, name, key), so both bounds land on
+        # the first entry at or after their instant
+        lo = (0 if query.time_from is None
+              else bisect.bisect_left(entries, (query.time_from,)))
+        hi = (len(entries) if query.time_to is None
+              else bisect.bisect_left(entries, (query.time_to,)))
+        return entries[lo:hi]
 
     # -- CRUD ---------------------------------------------------------------
 
@@ -205,19 +264,37 @@ class SharedStorage:
             if key in self._records:
                 raise DuplicateKey(f"key already present: {key}")
             record = Record(key=key, body=body, revision=1)
-            self._records[key] = record
-            self._insertion[key.namespace].append(key)
+            self._insert(record)
             self._commit(record)
             self._evict(key.namespace)
             return record.revision
 
     def crud_read(self, query: Query) -> list[Record]:
+        """Matching records in (observed_at, entity_id, name) order."""
         with self._lock:
-            hits = [r for r in self._records.values() if query.matches(r.key)]
-        hits.sort(key=_read_order)
-        if query.limit is not None:
-            hits = hits[:query.limit]
-        return hits
+            entities = self._index[query.namespace]
+            if query.entity_id is not None:
+                entries = self._time_slice(
+                    entities.get(query.entity_id, []), query)
+            else:
+                entries = heapq.merge(
+                    *(self._time_slice(e, query) for e in entities.values()),
+                    key=lambda entry: (entry[0], entry[2].entity_id, entry[1]))
+            keys = (key for _, name, key in entries
+                    if query.attribute is None or name == query.attribute)
+            return [self._records[key]
+                    for key in itertools.islice(keys, query.limit)]
+
+    def latest(self, namespace: Namespace, entity_id: str,
+               name: str | None = None) -> Record | None:
+        """The entity's last record in read order, or its last record
+        under `name`; None when there is none."""
+        with self._lock:
+            for _, entry_name, key in reversed(
+                    self._index[namespace].get(entity_id, [])):
+                if name is None or entry_name == name:
+                    return self._records[key]
+            return None
 
     def crud_update(self, key: RecordKey, body: object) -> int:
         with self._lock:
@@ -231,11 +308,9 @@ class SharedStorage:
 
     def crud_delete(self, key: RecordKey) -> None:
         with self._lock:
-            current = self._records.pop(key, None)
-            if current is None:
+            if key not in self._records:
                 raise NotFound(f"no record under key: {key}")
-            self._insertion[key.namespace].remove(key)
-            self._commit(current, op="delete")
+            self._commit(self._remove(key), op="delete")
 
     def upsert(self, key: RecordKey, body: object) -> int:
         """Create-or-update; convenience wrapper used by writers."""
@@ -250,10 +325,7 @@ class SharedStorage:
             return
         ins = self._insertion[namespace]
         while len(ins) > cap:
-            oldest = ins[0]
-            record = self._records.pop(oldest)
-            ins.pop(0)
-            self._commit(record, op="delete")
+            self._commit(self._remove(next(iter(ins))), op="delete")
 
     # -- pub/sub ------------------------------------------------------------
 

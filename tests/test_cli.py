@@ -249,6 +249,23 @@ def test_run_missing_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("ticks", ["-5", "0", "three"])
+def test_run_rejects_bad_tick_count_before_touching_output(
+        tmp_path, repo_root, capsys, ticks):
+    manifest = write_manifest(tmp_path, repo_root)
+    assert main(["run", "--loop", "monitoring", "--config", str(manifest),
+                 "--check"]) == 0
+    journal = tmp_path / "out" / "journal.jsonl"
+    before = journal.read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--loop", "monitoring", "--config", str(manifest),
+              "--ticks", ticks, "--check"])
+    assert exc.value.code == 2
+    assert "--ticks" in capsys.readouterr().err
+    assert journal.read_bytes() == before
+
+
 def test_run_prediction_without_candidates_exits_2(tmp_path, repo_root):
     # the monitoring manifest has no candidate catalog
     manifest = write_manifest(tmp_path, repo_root, name="monitoring")

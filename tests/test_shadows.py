@@ -151,3 +151,57 @@ def test_journal_replay_reproduces_traces_bit_for_bit(arrivals):
         replayed = ShadowManager(SharedStorage.replay(journal))
         assert replayed.rebuild_index() == 1
         assert replayed.get_shadow(type_name="traffic") == live
+
+
+def test_late_flag_after_replay_matches_the_live_store(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    storage = SharedStorage(journal_path=journal, clock=lambda: ts(0))
+    live = manager_with_shadow(storage)
+    for t in (1, 2, 5):
+        live.update_from_measurement(measurement("flow", t, t=t))
+    storage.close()
+
+    replayed = ShadowManager(SharedStorage.replay(journal))
+    assert replayed.rebuild_index() == 1
+    for mgr in (live, replayed):
+        mgr.update_from_measurement(measurement("speed", 7, t=3))   # late
+        mgr.update_from_measurement(measurement("flow", 8, t=6))    # fresh
+    late = {mgr: [(p.observed_at, p.attribute, p.late)
+                  for p in mgr.get_shadow()[0].trace]
+            for mgr in (live, replayed)}
+    assert late[replayed] == late[live]
+    assert (ts(3), "speed", True) in late[live]
+    assert (ts(6), "flow", False) in late[live]
+
+
+def test_newest_stamp_does_not_survive_delete_and_recreate():
+    mgr = manager_with_shadow()
+    mgr.update_from_measurement(measurement("flow", 1, t=10))
+    mgr.delete_shadow("traffic:e1")
+    mgr.create_shadow(TRAFFIC, "e1", created_at=ts(0))
+    mgr.update_from_measurement(measurement("flow", 2, t=2))
+    (shadow,) = mgr.get_shadow()
+    assert shadow.trace == [TracePoint(ts(2), "flow", 2, late=False)]
+
+
+SPEED = ShadowType(name="motion", attribute_set=frozenset({"speed", "heading"}),
+                   entity_type="Sensor")
+
+
+@given(arrivals=_arrivals)
+def test_latest_points_match_the_newest_point_of_each_trace(arrivals):
+    mgr = manager_with_shadow()
+    mgr.create_shadow(SPEED, "e1", created_at=ts(0))
+    mgr.create_shadow(TRAFFIC, "e2", created_at=ts(0))
+    for attr, t, value in arrivals:
+        mgr.update_from_measurement(measurement(attr, value, t=t))
+        mgr.update_from_measurement(measurement(attr, -value, t=t,
+                                                entity="e2"))
+    # reference: walk every materialized trace, later shadows win ties
+    expected: dict[str, TracePoint] = {}
+    for shadow in mgr.get_shadow(entity_id="e1"):
+        for point in shadow.trace:
+            current = expected.get(point.attribute)
+            if current is None or point.observed_at >= current.observed_at:
+                expected[point.attribute] = point
+    assert mgr.latest_points("e1") == expected

@@ -1,12 +1,16 @@
-"""Shared storage: CRUD semantics, query oracle, pub/sub, journal replay."""
+"""Shared storage: CRUD semantics, query oracle, pub/sub, journal replay,
+and a model-based check of the index against a plain dict."""
 
 from __future__ import annotations
 
 import json
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from twinarch.errors import DuplicateKey, InvalidQuery, NotFound
 from twinarch.storage import (Namespace, Query, Record, RecordKey,
@@ -216,3 +220,149 @@ def test_concurrent_upserts_stay_consistent():
     for t in threads:
         t.join()
     assert store.count(Namespace.MEASUREMENTS) == 800
+
+
+# --- model-based check of the index ----------------------------------------
+
+# Two namespaces, one of them capped, so eviction interleaves with the
+# other operations.
+_CAP = 6
+_machine_namespaces = st.sampled_from([Namespace.MEASUREMENTS,
+                                       Namespace.STATES])
+_machine_entities = st.sampled_from(["e1", "e2", "e3"])
+_machine_names = st.sampled_from(["a", "b", "c"])
+_machine_times = st.integers(min_value=0, max_value=8)
+_machine_keys = st.builds(key, entity=_machine_entities, name=_machine_names,
+                          t=_machine_times, ns=_machine_namespaces)
+
+
+def _model_order(k: RecordKey) -> tuple:
+    return (k.observed_at, k.entity_id, k.name)
+
+
+class StorageMachine(RuleBasedStateMachine):
+    """SharedStorage against a dict of key -> (body, revision) plus a list
+    of keys in insertion order; reads filter and sort the dict."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._tmp = tempfile.TemporaryDirectory()
+        self.journal = Path(self._tmp.name) / "journal.jsonl"
+        self.store = SharedStorage(
+            journal_path=self.journal, clock=lambda: ts(0),
+            namespace_caps={Namespace.STATES: _CAP})
+        self.model: dict[RecordKey, tuple[object, int]] = {}
+        self.inserted: list[RecordKey] = []
+
+    def _model_create(self, k: RecordKey, body: object) -> None:
+        self.model[k] = (body, 1)
+        self.inserted.append(k)
+        in_states = [x for x in self.inserted
+                     if x.namespace is Namespace.STATES]
+        for oldest in in_states[:max(0, len(in_states) - _CAP)]:
+            self.inserted.remove(oldest)
+            del self.model[oldest]
+
+    def _model_update(self, k: RecordKey, body: object) -> int:
+        revision = self.model[k][1] + 1
+        self.model[k] = (body, revision)
+        return revision
+
+    @rule(k=_machine_keys, body=st.integers())
+    def create(self, k, body):
+        if k in self.model:
+            with pytest.raises(DuplicateKey):
+                self.store.crud_create(k, body)
+            return
+        assert self.store.crud_create(k, body) == 1
+        self._model_create(k, body)
+
+    @rule(k=_machine_keys, body=st.integers())
+    def update(self, k, body):
+        if k not in self.model:
+            with pytest.raises(NotFound):
+                self.store.crud_update(k, body)
+            return
+        assert self.store.crud_update(k, body) == self._model_update(k, body)
+
+    @rule(k=_machine_keys, body=st.integers())
+    def upsert(self, k, body):
+        if k in self.model:
+            expected = self._model_update(k, body)
+        else:
+            self._model_create(k, body)
+            expected = 1
+        assert self.store.upsert(k, body) == expected
+
+    @rule(k=_machine_keys)
+    def delete(self, k):
+        if k not in self.model:
+            with pytest.raises(NotFound):
+                self.store.crud_delete(k)
+            return
+        self.store.crud_delete(k)
+        del self.model[k]
+        self.inserted.remove(k)
+
+    @rule(ns=_machine_namespaces,
+          entity=st.one_of(st.none(), _machine_entities),
+          attribute=st.one_of(st.none(), _machine_names),
+          bounds=st.one_of(st.none(), st.tuples(
+              _machine_times, _machine_times).filter(lambda p: p[0] < p[1])),
+          limit=st.one_of(st.none(), st.integers(min_value=1, max_value=5)))
+    def read(self, ns, entity, attribute, bounds, limit):
+        q = Query(namespace=ns, entity_id=entity, attribute=attribute,
+                  time_from=ts(bounds[0]) if bounds else None,
+                  time_to=ts(bounds[1]) if bounds else None, limit=limit)
+        expected = sorted(
+            (k for k in self.model
+             if k.namespace is ns
+             and (entity is None or k.entity_id == entity)
+             and (attribute is None or k.name == attribute)
+             and (bounds is None or ts(bounds[0]) <= k.observed_at
+                  < ts(bounds[1]))),
+            key=_model_order)[:limit]
+        got = self.store.crud_read(q)
+        assert [(r.key, r.body, r.revision) for r in got] == [
+            (k, *self.model[k]) for k in expected]
+
+    @rule(ns=_machine_namespaces, entity=_machine_entities,
+          name=st.one_of(st.none(), _machine_names))
+    def latest(self, ns, entity, name):
+        candidates = sorted(
+            (k for k in self.model
+             if k.namespace is ns and k.entity_id == entity
+             and (name is None or k.name == name)),
+            key=_model_order)
+        got = self.store.latest(ns, entity, name)
+        if not candidates:
+            assert got is None
+        else:
+            assert (got.key, got.body, got.revision) == (
+                candidates[-1], *self.model[candidates[-1]])
+
+    @rule(ns=st.one_of(st.none(), _machine_namespaces))
+    def count(self, ns):
+        assert self.store.count(ns) == sum(
+            1 for k in self.model if ns is None or k.namespace is ns)
+
+    def teardown(self) -> None:
+        try:
+            self.store.close()
+            live = {r.key: (r.body, r.revision)
+                    for r in self.store.all_records()}
+            assert live == self.model
+            replayed = SharedStorage.replay(self.journal)
+            assert {r.key: (r.body, r.revision)
+                    for r in replayed.all_records()} == live
+            for ns in (Namespace.MEASUREMENTS, Namespace.STATES):
+                assert replayed.crud_read(Query(namespace=ns)) == \
+                    self.store.crud_read(Query(namespace=ns))
+        finally:
+            self._tmp.cleanup()
+
+
+TestStorageMachine = StorageMachine.TestCase
+TestStorageMachine.settings = settings(max_examples=60,
+                                       stateful_step_count=60,
+                                       deadline=None)

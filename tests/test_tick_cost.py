@@ -1,0 +1,61 @@
+"""Complexity gate: the work of one monitoring tick does not grow with
+the history held in the store.
+
+Counts, not wall-clock time, so the gate holds on any machine: per
+tick, the records returned by `SharedStorage.crud_read` and
+`SharedStorage.latest` plus the trace points built by
+`ShadowManager.get_shadow`.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from collections import Counter
+
+from twinarch.configs import load_manifest
+from twinarch.orchestrator import TwinManager
+from twinarch.shadows import ShadowManager
+from twinarch.storage import SharedStorage
+
+TICKS = 400
+
+
+def test_work_per_monitoring_tick_stays_flat(repo_root, monkeypatch):
+    manifest = load_manifest(
+        repo_root / "configs" / "demo" / "monitoring" / "manifest.json")
+    # telemetry on every tick, crossing the density band both ways
+    schedule = tuple((t, 10.0 + (t * 7) % 40) for t in range(1, TICKS + 1))
+    manifest = dataclasses.replace(
+        manifest,
+        harness=dataclasses.replace(manifest.harness, schedule=schedule))
+    manager = TwinManager(manifest, ticks=TICKS)
+    work: Counter[int] = Counter()
+    read, latest = SharedStorage.crud_read, SharedStorage.latest
+    get_shadow = ShadowManager.get_shadow
+
+    def counted_read(self, query):
+        records = read(self, query)
+        work[manager.clock.tick] += len(records)
+        return records
+
+    def counted_latest(self, *args, **kwargs):
+        record = latest(self, *args, **kwargs)
+        work[manager.clock.tick] += record is not None
+        return record
+
+    def counted_get_shadow(self, *args, **kwargs):
+        shadows = get_shadow(self, *args, **kwargs)
+        work[manager.clock.tick] += sum(len(s.trace) for s in shadows)
+        return shadows
+
+    monkeypatch.setattr(SharedStorage, "crud_read", counted_read)
+    monkeypatch.setattr(SharedStorage, "latest", counted_latest)
+    monkeypatch.setattr(ShadowManager, "get_shadow", counted_get_shadow)
+    try:
+        output = manager.run_monitoring()
+    finally:
+        manager.shutdown()
+    assert output.ticks_run == TICKS
+    assert len(output.feedbacks) == TICKS
+    assert work[50] > 0
+    assert work[400] == work[50], (work[50], work[400])
