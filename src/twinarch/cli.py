@@ -52,15 +52,15 @@ def _read_input(path: str | None) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _tick_count(text: str) -> int:
-    """argparse type for --ticks: a whole number of at least 1."""
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: a whole number of at least 1."""
     try:
-        ticks = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
-    if ticks < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {ticks}")
-    return ticks
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_map(pairs: list[str]) -> dict[str, str]:
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--journal", help="journal file to append to")
     p.add_argument("--listen", metavar="SOCKET",
                    help="serve a local stream socket instead of stdin")
-    p.add_argument("--connections", type=int, default=1,
+    p.add_argument("--connections", type=_positive_int, default=1,
                    help="client connections to serve before exiting")
     p.set_defaults(func=cmd_ingest)
 
@@ -458,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     f = service_sub.add_parser("predict")
     f.add_argument("--journal", required=True)
     f.add_argument("--entity", required=True)
-    f.add_argument("--horizon", type=int, required=True)
+    f.add_argument("--horizon", type=_positive_int, required=True)
     f.add_argument("--method", default="linear",
                    choices=["linear", "last-value", "moving-average"])
-    f.add_argument("--window", type=int, default=10)
+    f.add_argument("--window", type=_positive_int, default=10)
     f.add_argument("--thresholds", help="bands JSON to also detect deviations")
     f.set_defaults(func=cmd_service_predict)
 
@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop", required=True,
                    choices=["monitoring", "prediction"])
     p.add_argument("--config", required=True, help="run manifest JSON")
-    p.add_argument("--ticks", type=_tick_count,
+    p.add_argument("--ticks", type=_positive_int,
                    help="override the manifest tick count (at least 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", action="store_true",

@@ -25,10 +25,9 @@ from .clock import DEFAULT_EPOCH, LogicalClock
 from .configs import Manifest
 from .errors import NoFeasibleSolution, ParseError, TwinArchError
 from .harness import PhysicalHarness
-from .services import (Analyzer, Deviation, DeviationDetector, Feedback,
-                       FeedbackExecutor, Plan, Planner, Predictor,
-                       ScenarioGenerator, SolutionFinder, StateMonitor,
-                       TwinState)
+from .services import (Deviation, DeviationDetector, Feedback,
+                       FeedbackExecutor, Plan, Predictor, ScenarioGenerator,
+                       SolutionFinder, StateMonitor, TwinState)
 from .shadows import ShadowManager
 from .simulation import ModelEngine, ModelManager, SimScenario
 from .storage import SharedStorage
@@ -87,16 +86,15 @@ class TwinManager:
                                     clock=self.clock.now)
         self.predictor = Predictor(self.shadow_manager, run.predictor)
         self.detector = DeviationDetector(manifest.bands)
-        self.analyzer = Analyzer(self.predictor, self.detector)
         self.feedback_executor = FeedbackExecutor(self.d2p, self.storage,
                                                   run.feedback)
 
         settings = dataclasses.replace(run.sim, seed=run.sim.seed + seed)
         self.generator = ScenarioGenerator(self.monitor, settings)
-        self.planner = Planner(submit=self.new_scenario_sim)
         self.finder = SolutionFinder(
-            generator=_TracingGenerator(self.generator, self.tracer),
-            planner=self.planner,
+            generator=self.generator,
+            tracer=self.tracer,
+            submit=self.new_scenario_sim,
             catalog=manifest.candidates,
             get_result=self._await_result,
             desired_band=manifest.bands.get(
@@ -108,7 +106,7 @@ class TwinManager:
     # -- shared hops -------------------------------------------------------------
 
     def new_scenario_sim(self, scenario: SimScenario) -> str:
-        """Planner-facing submission of a what-if scenario."""
+        """Queue a what-if scenario: the Planner's newScenarioSim hop."""
         self.tracer.record("Planner", "TwinManager", "newScenarioSim",
                            scenario.to_json())
         self._push_model()
@@ -339,33 +337,7 @@ class TwinManager:
         return check_trace(self.tracer.events, self.template_for(loop))
 
     def shutdown(self) -> None:
-        self.engine.shutdown()
         self.storage.close()
-
-
-class _TracingGenerator:
-    """ScenarioGenerator proxy that records the genScenario hop."""
-
-    def __init__(self, inner: ScenarioGenerator, tracer: Tracer) -> None:
-        self._inner = inner
-        self._tracer = tracer
-
-    @property
-    def settings(self):
-        return self._inner.settings
-
-    def initial_state_for(self, entity_id: str) -> dict[str, float]:
-        return self._inner.initial_state_for(entity_id)
-
-    def gen_scenario(self, deviation, candidate, inflow_series, base_time,
-                     initial_state=None):
-        self._tracer.record("SolutionFinder", "ScenarioGenerator",
-                            "genScenario",
-                            {"candidate": candidate.candidate_id,
-                             "actions": [a.name for a in candidate.actions]})
-        return self._inner.gen_scenario(deviation, candidate, inflow_series,
-                                        base_time,
-                                        initial_state=initial_state)
 
 
 def _any_band(bands: dict):
@@ -381,15 +353,12 @@ def run_loop(manifest: Manifest, loop: str, seed: int = 0,
     check conformance. The caller owns shutdown."""
     manager = TwinManager(manifest, seed=seed, ticks=ticks,
                           journal_path=journal_path)
-    try:
-        if loop == "monitoring":
-            output = manager.run_monitoring()
-        elif loop == "prediction":
-            output = manager.run_prediction()
-        else:
-            raise ValueError(f"unknown loop {loop!r}")
-        if check:
-            output.report = manager.check(loop)
-        return output, manager
-    finally:
-        manager.engine.shutdown()
+    if loop == "monitoring":
+        output = manager.run_monitoring()
+    elif loop == "prediction":
+        output = manager.run_prediction()
+    else:
+        raise ValueError(f"unknown loop {loop!r}")
+    if check:
+        output.report = manager.check(loop)
+    return output, manager

@@ -19,7 +19,6 @@ simple and documented so independent oracles can recompute them:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
@@ -32,6 +31,7 @@ from .errors import (InsufficientHistory, MissingThreshold, NoFeasibleSolution,
 from .shadows import ShadowManager
 from .simulation import SimScenario
 from .storage import Namespace, RecordKey, SharedStorage
+from .tracing import Tracer
 from .wire.common import Scalar
 
 
@@ -408,25 +408,8 @@ class DeviationDetector:
         return deviations
 
 
-class Analyzer:
-    """Composite analytics surface: forecast then detect, one call."""
-
-    def __init__(self, predictor: Predictor,
-                 detector: DeviationDetector) -> None:
-        self.predictor = predictor
-        self.detector = detector
-
-    def prediction(self, entity_id: str, horizon: int) -> Prediction:
-        return self.predictor.prediction(entity_id, horizon)
-
-    def analyze(self, entity_id: str,
-                horizon: int) -> tuple[Prediction, list[Deviation]]:
-        forecast = self.prediction(entity_id, horizon)
-        return forecast, self.detector.detect_deviation(forecast)
-
-
 # ---------------------------------------------------------------------------
-# ScenarioGenerator / SolutionFinder / Planner
+# ScenarioGenerator / SolutionFinder
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -454,13 +437,11 @@ class ScenarioGenerator:
                  settings: SimulationSettings) -> None:
         self.state_monitor = state_monitor
         self.settings = settings
-        self._lock = threading.Lock()
         self._counter = 0
 
     def _next_id(self, candidate: CandidateSolution) -> str:
-        with self._lock:
-            self._counter += 1
-            return f"whatif-{self._counter}-{candidate.candidate_id}"
+        self._counter += 1
+        return f"whatif-{self._counter}-{candidate.candidate_id}"
 
     def initial_state_for(self, entity_id: str) -> dict[str, float]:
         """Seed state for what-if runs: the current fused value of the
@@ -518,35 +499,23 @@ def candidate_sort_key(candidate: CandidateSolution,
             tuple(sorted(a.name for a in candidate.actions)))
 
 
-class Planner:
-    """Submits what-if scenarios and assembles the winning plan."""
-
-    def __init__(self, submit: Callable[[SimScenario], str]) -> None:
-        # submit is TwinManager.new_scenario_sim
-        self._submit = submit
-
-    def submit(self, scenario: SimScenario) -> str:
-        return self._submit(scenario)
-
-    def build_plan(self, entity_id: str, candidate: CandidateSolution,
-                   objective: float, scenario_ids: Sequence[str],
-                   deviation: Deviation | None) -> Plan:
-        return Plan(entity_id=entity_id, actions=candidate.actions,
-                    expected_objective=objective,
-                    scenario_ids=tuple(scenario_ids),
-                    deviation_id=deviation.deviation_id if deviation else None)
-
-
 class SolutionFinder:
-    """Exhaustive candidate search over simulated outcomes."""
+    """Exhaustive candidate search over simulated outcomes.
 
-    def __init__(self, generator: ScenarioGenerator, planner: Planner,
+    Records the genScenario hop on the run's tracer before each
+    candidate's scenario is generated.
+    """
+
+    def __init__(self, generator: ScenarioGenerator, tracer: Tracer,
+                 submit: Callable[[SimScenario], str],
                  catalog: Sequence[CandidateSolution],
                  get_result: Callable[[str], tuple[float | None, object]],
                  desired_band: Band) -> None:
-        # get_result: scenario_id -> (objective, result); blocks until done
+        # submit is TwinManager.new_scenario_sim;
+        # get_result: scenario_id -> (objective, result), once it has run
         self.generator = generator
-        self.planner = planner
+        self.tracer = tracer
+        self.submit = submit
         self.catalog = list(catalog)
         self.get_result = get_result
         self.desired_band = desired_band
@@ -561,10 +530,14 @@ class SolutionFinder:
         scored: list[tuple[tuple, CandidateSolution, float, str]] = []
         scenario_ids = []
         for candidate in self.catalog:
+            self.tracer.record(
+                "SolutionFinder", "ScenarioGenerator", "genScenario",
+                {"candidate": candidate.candidate_id,
+                 "actions": [a.name for a in candidate.actions]})
             scenario = self.generator.gen_scenario(
                 deviation, candidate, inflow_series, base_time,
                 initial_state=initial_state)
-            scenario_id = self.planner.submit(scenario)
+            scenario_id = self.submit(scenario)
             scenario_ids.append(scenario_id)
             objective, _ = self.get_result(scenario_id)
             if objective is None:
@@ -581,8 +554,10 @@ class SolutionFinder:
         best = min(feasible, key=lambda entry: entry[0])
         _, candidate, objective, chosen_id = best
         ordered = [chosen_id] + [s for s in scenario_ids if s != chosen_id]
-        return self.planner.build_plan(
-            deviation.entity_id, candidate, objective, ordered, deviation)
+        return Plan(entity_id=deviation.entity_id, actions=candidate.actions,
+                    expected_objective=objective,
+                    scenario_ids=tuple(ordered),
+                    deviation_id=deviation.deviation_id)
 
 
 # ---------------------------------------------------------------------------

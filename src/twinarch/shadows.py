@@ -11,12 +11,12 @@ bit-identically.
 Out-of-order telemetry is inserted at its timestamp position and
 flagged `late`; consumers that want "current" values read the newest
 point of each attribute (`latest_points`), which costs the same
-however long the traces are.
+however long the traces are. Like the storage under it, the manager
+is single-threaded: callers must not share it across threads.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -89,7 +89,6 @@ class ShadowManager:
 
     def __init__(self, storage: SharedStorage) -> None:
         self.storage = storage
-        self._lock = threading.RLock()
         # (type name, entity_id) -> shadow_id; at most one per pair
         self._index: dict[tuple[str, str], str] = {}
         self._types: dict[str, ShadowType] = {}
@@ -99,30 +98,28 @@ class ShadowManager:
         self._latest: dict[str, dict[str, TracePoint]] = {}
 
     def register_type(self, shadow_type: ShadowType) -> None:
-        with self._lock:
-            self._types[shadow_type.name] = shadow_type
+        self._types[shadow_type.name] = shadow_type
 
     def rebuild_index(self) -> int:
         """Re-attach to shadows already present in storage (e.g. after
         journal replay). Reads descriptors and each re-attached shadow's
         points, for their newest points; writes nothing."""
         count = 0
-        with self._lock:
-            for record in self.storage.crud_read(Query(namespace=Namespace.SHADOWS)):
-                if not record.key.name.endswith(".__descriptor__"):
-                    continue
-                body = record.body if isinstance(record.body, dict) else {}
-                shadow_type = ShadowType(
-                    name=body["type"],
-                    attribute_set=frozenset(body["attributes"]),
-                    entity_type=body["entity_type"])
-                pair = (shadow_type.name, record.key.entity_id)
-                if pair in self._index:
-                    continue
-                self._types.setdefault(shadow_type.name, shadow_type)
-                self._attach(shadow_type, record.key.entity_id,
-                             body["shadow_id"], record.key.observed_at)
-                count += 1
+        for record in self.storage.crud_read(Query(namespace=Namespace.SHADOWS)):
+            if not record.key.name.endswith(".__descriptor__"):
+                continue
+            body = record.body if isinstance(record.body, dict) else {}
+            shadow_type = ShadowType(
+                name=body["type"],
+                attribute_set=frozenset(body["attributes"]),
+                entity_type=body["entity_type"])
+            pair = (shadow_type.name, record.key.entity_id)
+            if pair in self._index:
+                continue
+            self._types.setdefault(shadow_type.name, shadow_type)
+            self._attach(shadow_type, record.key.entity_id,
+                         body["shadow_id"], record.key.observed_at)
+            count += 1
         return count
 
     def _attach(self, shadow_type: ShadowType, entity_id: str,
@@ -146,24 +143,23 @@ class ShadowManager:
     def create_shadow(self, shadow_type: ShadowType, entity_id: str,
                       created_at: datetime) -> str:
         """Register a shadow and backfill its trace from measurements."""
-        with self._lock:
-            self.register_type(shadow_type)
-            pair = (shadow_type.name, entity_id)
-            if pair in self._index:
-                raise DuplicateShadow(
-                    f"shadow for {pair} already exists: {self._index[pair]}")
-            shadow_id = f"{shadow_type.name}:{entity_id}"
-            self._attach(shadow_type, entity_id, shadow_id, created_at)
-            descriptor = RecordKey(
-                namespace=Namespace.SHADOWS, entity_id=entity_id,
-                name=f"{shadow_type.name}.__descriptor__",
-                observed_at=created_at)
-            self.storage.upsert(descriptor, {
-                "shadow_id": shadow_id, "type": shadow_type.name,
-                "entity_type": shadow_type.entity_type,
-                "attributes": sorted(shadow_type.attribute_set)})
-            self._backfill(shadow_type, entity_id)
-            return shadow_id
+        self.register_type(shadow_type)
+        pair = (shadow_type.name, entity_id)
+        if pair in self._index:
+            raise DuplicateShadow(
+                f"shadow for {pair} already exists: {self._index[pair]}")
+        shadow_id = f"{shadow_type.name}:{entity_id}"
+        self._attach(shadow_type, entity_id, shadow_id, created_at)
+        descriptor = RecordKey(
+            namespace=Namespace.SHADOWS, entity_id=entity_id,
+            name=f"{shadow_type.name}.__descriptor__",
+            observed_at=created_at)
+        self.storage.upsert(descriptor, {
+            "shadow_id": shadow_id, "type": shadow_type.name,
+            "entity_type": shadow_type.entity_type,
+            "attributes": sorted(shadow_type.attribute_set)})
+        self._backfill(shadow_type, entity_id)
+        return shadow_id
 
     def _backfill(self, shadow_type: ShadowType, entity_id: str) -> None:
         prior = self.storage.crud_read(Query(
@@ -182,18 +178,17 @@ class ShadowManager:
 
     def delete_shadow(self, shadow_id: str) -> None:
         """Drop the shadow and tombstone all of its storage records."""
-        with self._lock:
-            meta = self._meta.pop(shadow_id, None)
-            if meta is None:
-                raise NotFound(f"no shadow {shadow_id!r}")
-            shadow_type, entity_id, _ = meta
-            del self._index[(shadow_type.name, entity_id)]
-            del self._latest[shadow_id]
-            prefix = f"{shadow_type.name}."
-            for record in self.storage.crud_read(Query(
-                    namespace=Namespace.SHADOWS, entity_id=entity_id)):
-                if record.key.name.startswith(prefix):
-                    self.storage.crud_delete(record.key)
+        meta = self._meta.pop(shadow_id, None)
+        if meta is None:
+            raise NotFound(f"no shadow {shadow_id!r}")
+        shadow_type, entity_id, _ = meta
+        del self._index[(shadow_type.name, entity_id)]
+        del self._latest[shadow_id]
+        prefix = f"{shadow_type.name}."
+        for record in self.storage.crud_read(Query(
+                namespace=Namespace.SHADOWS, entity_id=entity_id)):
+            if record.key.name.startswith(prefix):
+                self.storage.crud_delete(record.key)
 
     # -- updates ---------------------------------------------------------------
 
@@ -215,20 +210,19 @@ class ShadowManager:
     def update_from_measurement(self, m: Measurement) -> list[str]:
         """Append a trace point to every shadow covering the measurement."""
         updated = []
-        with self._lock:
-            for (type_name, entity_id), shadow_id in self._index.items():
-                if entity_id != m.entity_id:
-                    continue
-                shadow_type = self._types[type_name]
-                if not shadow_type.covers(m):
-                    continue
-                newest = max((p.observed_at
-                              for p in self._latest[shadow_id].values()),
-                             default=None)
-                late = newest is not None and m.observed_at < newest
-                self._put_point(shadow_type, entity_id, m.attribute,
-                                m.observed_at, m.value, late=late)
-                updated.append(shadow_id)
+        for (type_name, entity_id), shadow_id in self._index.items():
+            if entity_id != m.entity_id:
+                continue
+            shadow_type = self._types[type_name]
+            if not shadow_type.covers(m):
+                continue
+            newest = max((p.observed_at
+                          for p in self._latest[shadow_id].values()),
+                         default=None)
+            late = newest is not None and m.observed_at < newest
+            self._put_point(shadow_type, entity_id, m.attribute,
+                            m.observed_at, m.value, late=late)
+            updated.append(shadow_id)
         return updated
 
     # -- queries -----------------------------------------------------------------
@@ -241,34 +235,32 @@ class ShadowManager:
         """Matching shadows with traces sliced to the half-open range."""
         if time_from is not None and time_to is not None and time_from >= time_to:
             raise InvalidQuery(f"empty range: {time_from} >= {time_to}")
-        with self._lock:
-            hits = []
-            for shadow_id, (shadow_type, owner, created_at) in sorted(
-                    self._meta.items()):
-                if type_name is not None and shadow_type.name != type_name:
-                    continue
-                if entity_id is not None and owner != entity_id:
-                    continue
-                if name is not None and shadow_id != name:
-                    continue
-                hits.append(self._materialize(shadow_type, owner, created_at,
-                                              time_from, time_to))
-            return hits
+        hits = []
+        for shadow_id, (shadow_type, owner, created_at) in sorted(
+                self._meta.items()):
+            if type_name is not None and shadow_type.name != type_name:
+                continue
+            if entity_id is not None and owner != entity_id:
+                continue
+            if name is not None and shadow_id != name:
+                continue
+            hits.append(self._materialize(shadow_type, owner, created_at,
+                                          time_from, time_to))
+        return hits
 
     def latest_points(self, entity_id: str) -> dict[str, TracePoint]:
         """The newest point of each attribute over the entity's shadows,
         from memory: no trace is read. When two shadows hold an
         attribute at the same instant, the later shadow id wins."""
         latest: dict[str, TracePoint] = {}
-        with self._lock:
-            for shadow_id, (_, owner, _) in sorted(self._meta.items()):
-                if owner != entity_id:
-                    continue
-                for attribute, point in self._latest[shadow_id].items():
-                    current = latest.get(attribute)
-                    if (current is None
-                            or point.observed_at >= current.observed_at):
-                        latest[attribute] = point
+        for shadow_id, (_, owner, _) in sorted(self._meta.items()):
+            if owner != entity_id:
+                continue
+            for attribute, point in self._latest[shadow_id].items():
+                current = latest.get(attribute)
+                if (current is None
+                        or point.observed_at >= current.observed_at):
+                    latest[attribute] = point
         return latest
 
     def _materialize(self, shadow_type: ShadowType, entity_id: str,

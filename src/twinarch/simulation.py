@@ -21,12 +21,10 @@ clamping.
 from __future__ import annotations
 
 import math
-import queue
 import random
-import threading
-import time
+from collections import deque
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Callable
 
 from .clock import format_rfc3339
@@ -123,7 +121,7 @@ class SimResult:
 @dataclass
 class SimStatus:
     scenario_id: str
-    status: str                     # queued | running | completed | failed
+    status: str                     # queued | completed | failed
     step: int = 0
     latest_state: State | None = None
     result: SimResult | None = None
@@ -258,9 +256,8 @@ def _input_at(scenario: SimScenario, step: int) -> State:
 
 
 def execute(spec: ModelSpec, scenario: SimScenario,
-            completed_at: datetime,
-            step_hook: Callable[[int, State], None] | None = None) -> SimResult:
-    """Run the step loop; pure apart from the optional hook."""
+            completed_at: datetime) -> SimResult:
+    """Run the step loop; a pure function of its arguments."""
     params = dict(spec.parameters)
     params.update(scenario.overrides)
     kind = KIND_TABLE[spec.kind]
@@ -276,8 +273,6 @@ def execute(spec: ModelSpec, scenario: SimScenario,
                     f"non-finite {name}={value!r} at step {step}",
                     partial_series=tuple(series))
         series.append(dict(state))
-        if step_hook is not None:
-            step_hook(step + 1, state)
     objective = None
     if scenario.objective_metric is not None:
         objective = series[-1].get(scenario.objective_metric)
@@ -294,48 +289,45 @@ class ModelManager:
     """Registry of model specs with versioned updates."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._models: dict[str, ModelSpec] = {}
 
     def create_model(self, spec: ModelSpec) -> ModelSpec:
         validate_spec(spec)
-        with self._lock:
-            if spec.model_id in self._models:
-                raise DuplicateModel(f"model {spec.model_id!r} already exists")
-            spec = replace(spec, version=1)
-            self._models[spec.model_id] = spec
-            return spec
+        if spec.model_id in self._models:
+            raise DuplicateModel(f"model {spec.model_id!r} already exists")
+        spec = replace(spec, version=1)
+        self._models[spec.model_id] = spec
+        return spec
 
     def update_model(self, spec: ModelSpec) -> ModelSpec:
         validate_spec(spec)
-        with self._lock:
-            current = self._models.get(spec.model_id)
-            if current is None:
-                raise NotFound(f"no model {spec.model_id!r}")
-            spec = replace(spec, version=current.version + 1)
-            self._models[spec.model_id] = spec
-            return spec
+        current = self._models.get(spec.model_id)
+        if current is None:
+            raise NotFound(f"no model {spec.model_id!r}")
+        spec = replace(spec, version=current.version + 1)
+        self._models[spec.model_id] = spec
+        return spec
 
     def upsert_model(self, spec: ModelSpec) -> ModelSpec:
-        with self._lock:
-            if spec.model_id in self._models:
-                return self.update_model(spec)
-            return self.create_model(spec)
+        if spec.model_id in self._models:
+            return self.update_model(spec)
+        return self.create_model(spec)
 
     def get_model(self, model_id: str) -> ModelSpec:
-        with self._lock:
-            spec = self._models.get(model_id)
+        spec = self._models.get(model_id)
         if spec is None:
             raise NotFound(f"no model {model_id!r}")
         return spec
 
 
 class ModelEngine:
-    """FIFO scenario executor over a single worker thread.
+    """Scenario executor that runs everything on the caller's thread;
+    callers must not share it across threads.
 
-    One worker keeps completion order equal to submission order, which
-    the conformance checks rely on. Completed results are committed to
-    the SimResults namespace.
+    `model_execution` runs one scenario and returns its result;
+    `scenario_sim` queues one and `drain` runs the queue in submission
+    order, which the conformance checks rely on. Completed results are
+    committed to the SimResults namespace.
     """
 
     def __init__(self, manager: ModelManager, storage: SharedStorage | None,
@@ -343,50 +335,28 @@ class ModelEngine:
         self.manager = manager
         self.storage = storage
         self._clock = clock or (lambda: datetime.now().astimezone())
-        self._queue: "queue.Queue[SimScenario | None]" = queue.Queue()
-        self._lock = threading.RLock()
+        self._queue: deque[SimScenario] = deque()
         self._status: dict[str, SimStatus] = {}
-        self.on_complete: Callable[[SimScenario, SimResult], None] | None = None
-        self._worker = threading.Thread(target=self._run, daemon=True,
-                                        name="model-engine")
-        self._worker.start()
 
-    # -- synchronous path ------------------------------------------------------
-
-    def model_execution(self, scenario: SimScenario,
-                        step_hook: Callable[[int, State], None] | None = None,
-                        ) -> SimResult:
+    def model_execution(self, scenario: SimScenario) -> SimResult:
         """Validate and run one scenario to completion, then store it."""
         spec = self.manager.get_model(scenario.model_id)
         validate_scenario(scenario, spec)
-        with self._lock:
-            status = SimStatus(scenario_id=scenario.scenario_id,
-                               status="running")
-            self._status[scenario.scenario_id] = status
-
-        def hook(step: int, state: State) -> None:
-            with self._lock:
-                status.step = step
-                status.latest_state = dict(state)
-            if step_hook is not None:
-                step_hook(step, state)
-
+        scenario_id = scenario.scenario_id
         try:
-            result = execute(spec, scenario, completed_at=self._clock(),
-                             step_hook=hook)
+            result = execute(spec, scenario, completed_at=self._clock())
         except NumericalFailure as exc:
-            with self._lock:
-                status.status = "failed"
-                status.error = str(exc)
+            partial = exc.partial_series
+            self._status[scenario_id] = SimStatus(
+                scenario_id=scenario_id, status="failed", step=len(partial),
+                latest_state=dict(partial[-1]) if partial else None,
+                error=str(exc))
             raise
-        with self._lock:
-            status.status = "completed"
-            status.result = result
-            status.latest_state = dict(result.state_series[-1])
-            status.step = scenario.horizon
+        self._status[scenario_id] = SimStatus(
+            scenario_id=scenario_id, status="completed",
+            step=scenario.horizon, latest_state=dict(result.state_series[-1]),
+            result=result)
         self._store_result(spec, scenario, result)
-        if self.on_complete is not None:
-            self.on_complete(scenario, result)
         return result
 
     def _store_result(self, spec: ModelSpec, scenario: SimScenario,
@@ -406,57 +376,29 @@ class ModelEngine:
             "base_time": format_rfc3339(base_time),
             "completed_at": format_rfc3339(result.completed_at)})
 
-    # -- asynchronous path -------------------------------------------------------
-
     def scenario_sim(self, scenario: SimScenario) -> str:
-        """Queue a scenario; FIFO execution on the worker."""
+        """Validate and queue a scenario; `drain` runs it."""
         spec = self.manager.get_model(scenario.model_id)
         validate_scenario(scenario, spec)
-        with self._lock:
-            self._status[scenario.scenario_id] = SimStatus(
-                scenario_id=scenario.scenario_id, status="queued")
-        self._queue.put(scenario)
+        self._status[scenario.scenario_id] = SimStatus(
+            scenario_id=scenario.scenario_id, status="queued")
+        self._queue.append(scenario)
         return scenario.scenario_id
 
-    def _run(self) -> None:
-        while True:
-            scenario = self._queue.get()
-            if scenario is None:
-                self._queue.task_done()
-                break
+    def get_sim_state(self, scenario_id: str) -> SimStatus:
+        status = self._status.get(scenario_id)
+        if status is None:
+            raise NotFound(f"no scenario {scenario_id!r}")
+        return status
+
+    def drain(self) -> None:
+        """Run every queued scenario, oldest first. A scenario that
+        fails is marked failed and the ones behind it still run."""
+        while self._queue:
+            scenario = self._queue.popleft()
             try:
                 self.model_execution(scenario)
-            except Exception as exc:           # keep the worker alive
-                with self._lock:
-                    status = self._status.get(scenario.scenario_id)
-                    if status is not None:
-                        status.status = "failed"
-                        status.error = str(exc)
-            finally:
-                self._queue.task_done()
-
-    def get_sim_state(self, scenario_id: str) -> SimStatus:
-        with self._lock:
-            status = self._status.get(scenario_id)
-            if status is None:
-                raise NotFound(f"no scenario {scenario_id!r}")
-            return status
-
-    def drain(self, timeout: float = 30.0) -> None:
-        """Block until all queued scenarios have completed."""
-        deadline = time.monotonic() + timeout
-        while self._queue.unfinished_tasks:
-            if time.monotonic() >= deadline:
-                raise TimeoutError("model engine did not drain in time")
-            time.sleep(0.001)
-
-    def shutdown(self) -> None:
-        self._queue.put(None)
-        self._worker.join(timeout=5.0)
-
-
-def sim_timestamps(base_time: datetime, step_size: float,
-                   horizon: int) -> list[datetime]:
-    """Timestamp of each simulated step: base + (i+1) * step_size."""
-    return [base_time + timedelta(seconds=step_size * (i + 1))
-            for i in range(horizon)]
+            except Exception as exc:    # reported through the status
+                status = self._status[scenario.scenario_id]
+                status.status = "failed"
+                status.error = str(exc)

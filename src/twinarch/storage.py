@@ -1,10 +1,10 @@
 """Shared-data plane: the repository at the center of the twin.
 
-One in-memory ordered map guarded by a lock, with an optional
-append-only JSON-lines journal for persistence and replay. Producers
-and consumers never talk to each other directly; everything flows
-through here (shared-data style). Per-key operations are atomic and
-linearizable; subscribers observe commits in commit order.
+One in-memory ordered map with an optional append-only JSON-lines
+journal for persistence and replay. Producers and consumers never talk
+to each other directly; everything flows through here (shared-data
+style). The store is single-threaded: every call runs on the caller's
+thread, and callers must not share a store across threads.
 
 Reads go through an index: one key list per (namespace, entity_id),
 sorted by (observed_at, name) and kept sorted with `bisect` on every
@@ -16,15 +16,9 @@ create and delete. What a read costs, for k records returned:
   namespace merged in (observed_at, entity_id, name) order,
   O(n_entities + k log n_entities).
 * `latest(namespace, entity_id)`: the entity's last key, O(1).
-  `latest(namespace, entity_id, name)` walks back from there to the
-  newest key of that name, so it is O(1) when an entity's names are
-  written together and a walk of the entity's keys when the name has
-  none.
 
 A new key costs one comparison and an append when it arrives in time
-order, a binary search and a list insert when it arrives late. Each
-namespace also keeps its keys in insertion order, for `count` and for
-cap eviction (oldest first).
+order, a binary search and a list insert when it arrives late.
 
 Journal line format, one JSON object per line:
 
@@ -38,14 +32,10 @@ are writes.
 from __future__ import annotations
 
 import bisect
-import fnmatch
 import heapq
 import itertools
 import json
-import queue
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -120,47 +110,16 @@ class Query:
             raise InvalidQuery(f"limit must be >= 1, got {self.limit}")
 
 
-@dataclass
-class Subscription:
-    """Live feed of committed records for one namespace/entity pattern."""
-
-    namespace: Namespace
-    entity_pattern: str
-    _queue: "queue.Queue[Record]" = field(default_factory=queue.Queue)
-
-    def matches(self, key: RecordKey) -> bool:
-        return (key.namespace is self.namespace
-                and fnmatch.fnmatchcase(key.entity_id, self.entity_pattern))
-
-    def get(self, timeout: float | None = None) -> Record:
-        return self._queue.get(timeout=timeout)
-
-    def drain(self) -> list[Record]:
-        out = []
-        while True:
-            try:
-                out.append(self._queue.get_nowait())
-            except queue.Empty:
-                return out
-
-
 class SharedStorage:
-    """In-memory record store with journal, revisions, and pub/sub."""
+    """In-memory record store with journal and revisions."""
 
     def __init__(self, journal_path: str | Path | None = None,
-                 clock: Callable[[], datetime] | None = None,
-                 namespace_caps: dict[Namespace, int] | None = None) -> None:
-        self._lock = threading.RLock()
+                 clock: Callable[[], datetime] | None = None) -> None:
         self._records: dict[RecordKey, Record] = {}
-        # keys of each namespace in insertion order (a set with order)
-        self._insertion: dict[Namespace, OrderedDict[RecordKey, None]] = {
-            ns: OrderedDict() for ns in Namespace}
         # namespace -> entity_id -> [(observed_at, name, key)], sorted
         self._index: dict[Namespace, dict[str, list[tuple]]] = {
             ns: {} for ns in Namespace}
-        self._subscriptions: list[Subscription] = []
         self._clock = clock or (lambda: datetime.now(timezone.utc))
-        self._caps = dict(namespace_caps or {})
         self._journal_path = Path(journal_path) if journal_path else None
         self._journal_file = None
         if self._journal_path is not None:
@@ -215,10 +174,9 @@ class SharedStorage:
     # -- index --------------------------------------------------------------
 
     def _insert(self, record: Record) -> None:
-        """Add a record under a key not yet present. Caller holds the lock."""
+        """Add a record under a key not yet present."""
         key = record.key
         self._records[key] = record
-        self._insertion[key.namespace][key] = None
         entries = self._index[key.namespace].setdefault(key.entity_id, [])
         # (observed_at, name) is unique within an entity, so the key
         # itself is never compared
@@ -229,9 +187,8 @@ class SharedStorage:
             entries.append(entry)   # in-order arrival, the common case
 
     def _remove(self, key: RecordKey) -> Record:
-        """Drop a present key and return its record. Caller holds the lock."""
+        """Drop a present key and return its record."""
         record = self._records.pop(key)
-        del self._insertion[key.namespace][key]
         entities = self._index[key.namespace]
         entries = entities[key.entity_id]
         del entries[bisect.bisect_left(entries, (key.observed_at, key.name))]
@@ -251,107 +208,64 @@ class SharedStorage:
 
     # -- CRUD ---------------------------------------------------------------
 
-    def _commit(self, record: Record, op: str | None = None) -> None:
-        # caller holds the lock
-        self._journal(record, op=op)
-        if op is None:
-            for sub in self._subscriptions:
-                if sub.matches(record.key):
-                    sub._queue.put(record)
-
     def crud_create(self, key: RecordKey, body: object) -> int:
-        with self._lock:
-            if key in self._records:
-                raise DuplicateKey(f"key already present: {key}")
-            record = Record(key=key, body=body, revision=1)
-            self._insert(record)
-            self._commit(record)
-            self._evict(key.namespace)
-            return record.revision
+        if key in self._records:
+            raise DuplicateKey(f"key already present: {key}")
+        record = Record(key=key, body=body, revision=1)
+        self._insert(record)
+        self._journal(record)
+        return record.revision
 
     def crud_read(self, query: Query) -> list[Record]:
         """Matching records in (observed_at, entity_id, name) order."""
-        with self._lock:
-            entities = self._index[query.namespace]
-            if query.entity_id is not None:
-                entries = self._time_slice(
-                    entities.get(query.entity_id, []), query)
-            else:
-                entries = heapq.merge(
-                    *(self._time_slice(e, query) for e in entities.values()),
-                    key=lambda entry: (entry[0], entry[2].entity_id, entry[1]))
-            keys = (key for _, name, key in entries
-                    if query.attribute is None or name == query.attribute)
-            return [self._records[key]
-                    for key in itertools.islice(keys, query.limit)]
+        entities = self._index[query.namespace]
+        if query.entity_id is not None:
+            entries = self._time_slice(
+                entities.get(query.entity_id, []), query)
+        else:
+            entries = heapq.merge(
+                *(self._time_slice(e, query) for e in entities.values()),
+                key=lambda entry: (entry[0], entry[2].entity_id, entry[1]))
+        keys = (key for _, name, key in entries
+                if query.attribute is None or name == query.attribute)
+        return [self._records[key]
+                for key in itertools.islice(keys, query.limit)]
 
-    def latest(self, namespace: Namespace, entity_id: str,
-               name: str | None = None) -> Record | None:
-        """The entity's last record in read order, or its last record
-        under `name`; None when there is none."""
-        with self._lock:
-            for _, entry_name, key in reversed(
-                    self._index[namespace].get(entity_id, [])):
-                if name is None or entry_name == name:
-                    return self._records[key]
-            return None
+    def latest(self, namespace: Namespace, entity_id: str) -> Record | None:
+        """The entity's last record in read order; None when it has none."""
+        entries = self._index[namespace].get(entity_id)
+        return self._records[entries[-1][2]] if entries else None
 
     def crud_update(self, key: RecordKey, body: object) -> int:
-        with self._lock:
-            current = self._records.get(key)
-            if current is None:
-                raise NotFound(f"no record under key: {key}")
-            record = Record(key=key, body=body, revision=current.revision + 1)
-            self._records[key] = record
-            self._commit(record)
-            return record.revision
+        current = self._records.get(key)
+        if current is None:
+            raise NotFound(f"no record under key: {key}")
+        record = Record(key=key, body=body, revision=current.revision + 1)
+        self._records[key] = record
+        self._journal(record)
+        return record.revision
 
     def crud_delete(self, key: RecordKey) -> None:
-        with self._lock:
-            if key not in self._records:
-                raise NotFound(f"no record under key: {key}")
-            self._commit(self._remove(key), op="delete")
+        if key not in self._records:
+            raise NotFound(f"no record under key: {key}")
+        self._journal(self._remove(key), op="delete")
 
     def upsert(self, key: RecordKey, body: object) -> int:
         """Create-or-update; convenience wrapper used by writers."""
-        with self._lock:
-            if key in self._records:
-                return self.crud_update(key, body)
-            return self.crud_create(key, body)
-
-    def _evict(self, namespace: Namespace) -> None:
-        cap = self._caps.get(namespace)
-        if cap is None:
-            return
-        ins = self._insertion[namespace]
-        while len(ins) > cap:
-            self._commit(self._remove(next(iter(ins))), op="delete")
-
-    # -- pub/sub ------------------------------------------------------------
-
-    def subscribe(self, namespace: Namespace,
-                  entity_pattern: str = "*") -> Subscription:
-        sub = Subscription(namespace=namespace, entity_pattern=entity_pattern)
-        with self._lock:
-            self._subscriptions.append(sub)
-        return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        with self._lock:
-            if sub in self._subscriptions:
-                self._subscriptions.remove(sub)
+        if key in self._records:
+            return self.crud_update(key, body)
+        return self.crud_create(key, body)
 
     # -- inspection ----------------------------------------------------------
 
     def all_records(self) -> list[Record]:
-        with self._lock:
-            return list(self._records.values())
+        return list(self._records.values())
 
     def count(self, namespace: Namespace | None = None) -> int:
-        with self._lock:
-            if namespace is None:
-                return len(self._records)
-            return len(self._insertion[namespace])
+        if namespace is None:
+            return len(self._records)
+        return sum(len(entries)
+                   for entries in self._index[namespace].values())
 
     def dump(self, namespace: Namespace) -> Iterable[dict]:
         """Namespace contents as JSON-ready dicts, in read order."""

@@ -313,6 +313,24 @@ def test_service_predict_over_a_run_journal(run_journal, tmp_path, capsys):
     assert doc["deviations"][0]["kind"] == "Predicted"
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+@pytest.mark.parametrize("flag", ["--horizon", "--window", "--connections"])
+def test_count_flags_reject_values_below_one(run_journal, tmp_path,
+                                             monkeypatch, capsys, flag,
+                                             value):
+    monkeypatch.setattr("sys.stdin", io.StringIO("f|20\n"))
+    if flag == "--connections":
+        argv = ["ingest", "--format", "ultralight", "--device", "TLF01",
+                "--journal", str(tmp_path / "ingest.jsonl")]
+    else:
+        argv = ["service", "predict", "--journal", str(run_journal),
+                "--entity", "TLF01", "--horizon", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_service_predict_without_history_exits_4(tmp_path, monkeypatch,
                                                  capsys):
     journal = tmp_path / "journal.jsonl"

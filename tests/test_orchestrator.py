@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import pytest
 
 from twinarch.configs import load_manifest
 from twinarch.harness import Fault, FaultKind
-from twinarch.orchestrator import run_loop
+from twinarch.orchestrator import TwinManager, run_loop
 from twinarch.services import Band, Provenance, Severity
 from twinarch.storage import Namespace, Query, SharedStorage
 from twinarch.tracing import check_trace, monitoring_template
@@ -246,3 +247,20 @@ def test_seed_fully_determines_a_run(repo_root):
     assert digest_a != digest_c
     # jitter actually perturbed the schedule
     assert flows_a != [(t, float(v)) for t, v in manifest.harness.schedule]
+
+
+# -- threads -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("loop", ["monitoring", "prediction"])
+def test_a_run_starts_no_threads(repo_root, loop):
+    manifest = demo_manifest(repo_root, loop, loop)
+    before = threading.active_count()
+    manager = TwinManager(manifest, seed=0)
+    try:
+        output = (manager.run_monitoring() if loop == "monitoring"
+                  else manager.run_prediction())
+        assert output.ticks_run > 0
+        assert threading.active_count() == before
+    finally:
+        manager.shutdown()

@@ -12,16 +12,17 @@ from hypothesis import given, strategies as st
 from twinarch.adapters import AdapterConfig, D2PAdapter, Direction
 from twinarch.errors import (InsufficientHistory, MissingThreshold,
                              NoFeasibleSolution, NotFound, UnmappableAction)
-from twinarch.services import (Action, Analyzer, Band, CandidateSolution,
-                               Deviation, DeviationDetector, DeviationKind,
-                               Feedback, FeedbackConfig, FeedbackExecutor,
-                               Plan, Planner, Prediction, Predictor,
-                               PredictorConfig, Provenance, ScenarioGenerator,
-                               Severity, SimulationSettings, SolutionFinder,
+from twinarch.services import (Action, Band, CandidateSolution, Deviation,
+                               DeviationDetector, DeviationKind, Feedback,
+                               FeedbackConfig, FeedbackExecutor, Plan,
+                               Prediction, Predictor, PredictorConfig,
+                               Provenance, ScenarioGenerator, Severity,
+                               SimulationSettings, SolutionFinder,
                                StateMonitor, TwinState, candidate_sort_key,
                                fit_line)
 from twinarch.shadows import ShadowManager, ShadowType
 from twinarch.storage import Namespace, Query, RecordKey, SharedStorage
+from twinarch.tracing import Tracer, payload_digest
 from twinarch.wire import Measurement, Source
 
 from conftest import ts
@@ -265,16 +266,6 @@ def test_prediction_reports_first_violating_step_per_metric():
             "e", ts(0), 1, ((ts(1), {"mystery": 1.0}),), "linear"))
 
 
-def test_analyzer_couples_forecast_and_detection():
-    _, shadows, _ = road_stack([("vehicleFlow", v, t)
-                                for t, v in enumerate([40.0, 42.0, 44.0])])
-    analyzer = Analyzer(Predictor(shadows), detector())
-    prediction, deviations = analyzer.analyze("TLF01", 2)
-    assert prediction.series_for("vehicleFlow") == pytest.approx(
-        [46.0, 48.0], abs=1e-9)
-    assert [d.metric for d in deviations] == ["vehicleFlow"]
-
-
 # --- scenario generation ---------------------------------------------------------
 
 SETTINGS = SimulationSettings(model_id="m1", horizon=4, seed=3)
@@ -334,8 +325,6 @@ def finder_with(objectives: dict[str, float | None], band=Band(0.0, 0.7)):
     """SolutionFinder whose simulated objective per candidate id is faked."""
     gen = generator()
     submitted: list[str] = []
-    planner = Planner(submit=lambda sc: (submitted.append(sc.scenario_id)
-                                         or sc.scenario_id))
     catalog = [
         CandidateSolution(cid, (Action("extend-green", "TLF01",
                                        {"seconds": 20}),))
@@ -346,7 +335,11 @@ def finder_with(objectives: dict[str, float | None], band=Band(0.0, 0.7)):
         cid = scenario_id.split("-", 2)[2]
         return objectives[cid], None
 
-    return SolutionFinder(gen, planner, catalog, get_result, band), submitted
+    finder = SolutionFinder(
+        gen, Tracer(),
+        lambda sc: submitted.append(sc.scenario_id) or sc.scenario_id,
+        catalog, get_result, band)
+    return finder, submitted
 
 
 def test_finder_picks_lowest_score_and_lists_chosen_first():
@@ -356,6 +349,12 @@ def test_finder_picks_lowest_score_and_lists_chosen_first():
     assert plan.scenario_ids[0] == "whatif-2-b"
     assert set(plan.scenario_ids) == set(submitted)
     assert plan.deviation_id == a_deviation().deviation_id
+    # one genScenario hop per candidate, in catalog order
+    assert [(e.source, e.target, e.message, e.digest)
+            for e in finder.tracer.events] == [
+        ("SolutionFinder", "ScenarioGenerator", "genScenario",
+         payload_digest({"candidate": cid, "actions": ["extend-green"]}))
+        for cid in "abc"]
 
 
 def test_finder_tie_breaks_by_action_count_then_names():
@@ -370,8 +369,7 @@ def test_finder_tie_breaks_by_action_count_then_names():
         CandidateSolution("one-a", (
             Action("divert-traffic", "TLF01", {"fraction": 0.3}),)),
     ]
-    planner = Planner(submit=lambda sc: sc.scenario_id)
-    finder = SolutionFinder(gen, planner, catalog,
+    finder = SolutionFinder(gen, Tracer(), lambda sc: sc.scenario_id, catalog,
                             lambda sid: (0.1, None), Band(0.0, 0.7))
     plan = finder.find_solution(dev, [50.0], ts(12))
     # all scores tie at 0: fewest actions wins, then "divert-" < "extend-"
@@ -384,7 +382,7 @@ def test_finder_raises_when_nothing_restores_the_band():
     with pytest.raises(NoFeasibleSolution) as exc_info:
         finder.find_solution(a_deviation(), [50.0], ts(12))
     assert "2 candidates" in str(exc_info.value)
-    empty = SolutionFinder(generator(), Planner(submit=lambda sc: ""), [],
+    empty = SolutionFinder(generator(), Tracer(), lambda sc: "", [],
                            lambda sid: (None, None), Band(0.0, 0.7))
     with pytest.raises(NoFeasibleSolution):
         empty.find_solution(a_deviation(), [1.0], ts(0))

@@ -13,8 +13,8 @@ from twinarch.errors import (DuplicateModel, InvalidSpec, NotFound,
                              NumericalFailure)
 from twinarch.simulation import (KIND_TABLE, ModelEngine, ModelKind,
                                  ModelManager, ModelSpec, SimScenario,
-                                 execute, register_kind, sim_timestamps,
-                                 validate_scenario, validate_spec)
+                                 execute, register_kind, validate_scenario,
+                                 validate_spec)
 from twinarch.storage import Namespace, Query, SharedStorage
 
 from conftest import ts
@@ -252,9 +252,7 @@ def engine():
     manager = ModelManager()
     manager.create_model(traffic_spec())
     storage = SharedStorage()
-    eng = ModelEngine(manager, storage, clock=lambda: ts(9))
-    yield eng, storage
-    eng.shutdown()
+    return ModelEngine(manager, storage, clock=lambda: ts(9)), storage
 
 
 def test_sync_execution_stores_result(engine):
@@ -277,16 +275,25 @@ def test_sync_execution_stores_result(engine):
     assert len(rec.body["series"]) == sc.horizon
 
 
-def test_async_scenarios_complete_in_submission_order(engine):
-    eng, storage = engine
-    completed: list[str] = []
-    eng.on_complete = lambda sc, result: completed.append(sc.scenario_id)
-    for i in range(5):
-        eng.scenario_sim(scenario(scenario_id=f"q{i}"))
+def test_async_scenarios_complete_in_submission_order(tmp_path):
+    manager = ModelManager()
+    manager.create_model(traffic_spec())
+    journal = tmp_path / "journal.jsonl"
+    storage = SharedStorage(journal_path=journal, clock=lambda: ts(9))
+    eng = ModelEngine(manager, storage, clock=lambda: ts(9))
+    # ids whose sort order differs from the submission order
+    submitted = ["q3", "q0", "q4", "q1", "q2"]
+    for scenario_id in submitted:
+        eng.scenario_sim(scenario(scenario_id=scenario_id))
+    assert all(eng.get_sim_state(s).status == "queued" for s in submitted)
+    assert storage.count(Namespace.SIM_RESULTS) == 0
     eng.drain()
-    assert completed == [f"q{i}" for i in range(5)]
-    assert all(eng.get_sim_state(f"q{i}").status == "completed"
-               for i in range(5))
+    storage.close()
+    committed = [line["key"]["name"] for line in map(
+        json.loads, journal.read_text(encoding="utf-8").splitlines())
+        if line["key"]["namespace"] == "SimResults"]
+    assert committed == submitted
+    assert all(eng.get_sim_state(s).status == "completed" for s in submitted)
     with pytest.raises(NotFound):
         eng.get_sim_state("never-submitted")
 
@@ -298,11 +305,9 @@ def test_async_failure_keeps_worker_alive(engine, diverging_kind):
                                  horizon=5))
     eng.scenario_sim(scenario(scenario_id="good"))
     eng.drain()
-    assert eng.get_sim_state("bad").status == "failed"
-    assert "non-finite" in (eng.get_sim_state("bad").error or "")
+    bad = eng.get_sim_state("bad")
+    assert bad.status == "failed"
+    assert "non-finite" in (bad.error or "")
+    # the steps that ran before the failure
+    assert bad.step == 1 and bad.latest_state == {"x": 1e200}
     assert eng.get_sim_state("good").status == "completed"
-
-
-def test_sim_timestamps_step_from_base():
-    stamps = sim_timestamps(ts(0), step_size=2.0, horizon=3)
-    assert stamps == [ts(2), ts(4), ts(6)]

@@ -1,11 +1,10 @@
-"""Shared storage: CRUD semantics, query oracle, pub/sub, journal replay,
-and a model-based check of the index against a plain dict."""
+"""Shared storage: CRUD semantics, query oracle, journal replay, and a
+model-based check of the index against a plain dict."""
 
 from __future__ import annotations
 
 import json
 import tempfile
-import threading
 from pathlib import Path
 
 import pytest
@@ -129,23 +128,6 @@ def test_time_bounds_are_inclusive_exclusive():
     assert [r.body for r in got] == [1, 2]
 
 
-# --- pub/sub ---------------------------------------------------------------
-
-def test_subscription_sees_writes_in_commit_order():
-    store = SharedStorage()
-    sub = store.subscribe(Namespace.MEASUREMENTS, "sensor-*")
-    store.crud_create(key("sensor-1", t=0), 1)
-    store.crud_create(key("other", t=0), 2)       # pattern mismatch
-    store.crud_update(key("sensor-1", t=0), 3)
-    store.crud_create(key("sensor-2", t=1, ns=Namespace.STATES), 4)  # wrong ns
-    store.crud_delete(key("sensor-1", t=0))       # deletes do not notify
-    got = sub.drain()
-    assert [r.body for r in got] == [1, 3]
-    store.unsubscribe(sub)
-    store.crud_create(key("sensor-9", t=9), 5)
-    assert sub.drain() == []
-
-
 # --- journal and replay ----------------------------------------------------
 
 def test_replay_reconstructs_live_state(tmp_path, epoch):
@@ -192,41 +174,8 @@ def test_replay_skips_blank_lines_and_does_not_rejournal(tmp_path, epoch):
     assert sum(1 for l in journal.read_text().splitlines() if l.strip()) == 1
 
 
-def test_namespace_cap_evicts_oldest_with_tombstones(tmp_path, epoch):
-    journal = tmp_path / "journal.jsonl"
-    store = SharedStorage(journal_path=journal, clock=lambda: epoch,
-                          namespace_caps={Namespace.MEASUREMENTS: 3})
-    for t in range(5):
-        store.crud_create(key(t=t), t)
-    assert store.count(Namespace.MEASUREMENTS) == 3
-    bodies = [r.body for r in store.crud_read(
-        Query(namespace=Namespace.MEASUREMENTS))]
-    assert bodies == [2, 3, 4]
-    store.close()
-    # replay honors the recorded evictions
-    assert SharedStorage.replay(journal).count() == 3
-
-
-def test_concurrent_upserts_stay_consistent():
-    store = SharedStorage()
-
-    def writer(worker: int) -> None:
-        for i in range(100):
-            store.upsert(key(f"w{worker}", name=f"n{i}", t=i), i)
-
-    threads = [threading.Thread(target=writer, args=(w,)) for w in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert store.count(Namespace.MEASUREMENTS) == 800
-
-
 # --- model-based check of the index ----------------------------------------
 
-# Two namespaces, one of them capped, so eviction interleaves with the
-# other operations.
-_CAP = 6
 _machine_namespaces = st.sampled_from([Namespace.MEASUREMENTS,
                                        Namespace.STATES])
 _machine_entities = st.sampled_from(["e1", "e2", "e3"])
@@ -241,27 +190,16 @@ def _model_order(k: RecordKey) -> tuple:
 
 
 class StorageMachine(RuleBasedStateMachine):
-    """SharedStorage against a dict of key -> (body, revision) plus a list
-    of keys in insertion order; reads filter and sort the dict."""
+    """SharedStorage against a dict of key -> (body, revision); reads
+    filter and sort the dict."""
 
     def __init__(self) -> None:
         super().__init__()
         self._tmp = tempfile.TemporaryDirectory()
         self.journal = Path(self._tmp.name) / "journal.jsonl"
-        self.store = SharedStorage(
-            journal_path=self.journal, clock=lambda: ts(0),
-            namespace_caps={Namespace.STATES: _CAP})
+        self.store = SharedStorage(journal_path=self.journal,
+                                   clock=lambda: ts(0))
         self.model: dict[RecordKey, tuple[object, int]] = {}
-        self.inserted: list[RecordKey] = []
-
-    def _model_create(self, k: RecordKey, body: object) -> None:
-        self.model[k] = (body, 1)
-        self.inserted.append(k)
-        in_states = [x for x in self.inserted
-                     if x.namespace is Namespace.STATES]
-        for oldest in in_states[:max(0, len(in_states) - _CAP)]:
-            self.inserted.remove(oldest)
-            del self.model[oldest]
 
     def _model_update(self, k: RecordKey, body: object) -> int:
         revision = self.model[k][1] + 1
@@ -275,7 +213,7 @@ class StorageMachine(RuleBasedStateMachine):
                 self.store.crud_create(k, body)
             return
         assert self.store.crud_create(k, body) == 1
-        self._model_create(k, body)
+        self.model[k] = (body, 1)
 
     @rule(k=_machine_keys, body=st.integers())
     def update(self, k, body):
@@ -290,7 +228,7 @@ class StorageMachine(RuleBasedStateMachine):
         if k in self.model:
             expected = self._model_update(k, body)
         else:
-            self._model_create(k, body)
+            self.model[k] = (body, 1)
             expected = 1
         assert self.store.upsert(k, body) == expected
 
@@ -302,7 +240,6 @@ class StorageMachine(RuleBasedStateMachine):
             return
         self.store.crud_delete(k)
         del self.model[k]
-        self.inserted.remove(k)
 
     @rule(ns=_machine_namespaces,
           entity=st.one_of(st.none(), _machine_entities),
@@ -326,15 +263,13 @@ class StorageMachine(RuleBasedStateMachine):
         assert [(r.key, r.body, r.revision) for r in got] == [
             (k, *self.model[k]) for k in expected]
 
-    @rule(ns=_machine_namespaces, entity=_machine_entities,
-          name=st.one_of(st.none(), _machine_names))
-    def latest(self, ns, entity, name):
+    @rule(ns=_machine_namespaces, entity=_machine_entities)
+    def latest(self, ns, entity):
         candidates = sorted(
             (k for k in self.model
-             if k.namespace is ns and k.entity_id == entity
-             and (name is None or k.name == name)),
+             if k.namespace is ns and k.entity_id == entity),
             key=_model_order)
-        got = self.store.latest(ns, entity, name)
+        got = self.store.latest(ns, entity)
         if not candidates:
             assert got is None
         else:
