@@ -22,11 +22,12 @@ from .catalog import (catalog_to_json, check_traceability, iso_report,
                       load_catalog, traceability_report)
 from .clock import DEFAULT_EPOCH, format_rfc3339, parse_rfc3339
 from .configs import load_manifest
-from .errors import ConfigError, ParseError, TwinArchError
+from .errors import ConfigError, InvalidSpec, ParseError, TwinArchError
 from .orchestrator import run_loop
 from .services import Band, PredictorConfig, Predictor, DeviationDetector
 from .shadows import ShadowManager
-from .simulation import ModelSpec, SimScenario, execute, validate_spec
+from .simulation import (ModelSpec, SimScenario, execute, validate_scenario,
+                         validate_spec)
 from .storage import Namespace, Query, SharedStorage
 from .wire import Source, parse_ditto_thing, parse_dtdl_telemetry, \
     parse_ngsi_ld, parse_ultralight
@@ -304,7 +305,11 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         scenario_doc = doc
     spec = ModelSpec.from_json(spec_doc)
     scenario = SimScenario.from_json(scenario_doc)
-    validate_spec(spec)
+    try:
+        validate_spec(spec)
+        validate_scenario(scenario, spec)
+    except InvalidSpec as exc:
+        raise ConfigError(str(exc)) from exc
     completed_at = scenario.base_time or DEFAULT_EPOCH
     result = execute(spec, scenario, completed_at=completed_at)
     json.dump({

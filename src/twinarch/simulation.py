@@ -1,10 +1,14 @@
 """Digital models and their execution engine.
 
-Models are discrete-step transition functions registered by kind;
-scenarios run a model for a fixed horizon from an initial state,
-feeding time-indexed input series (last value held). Execution is
+Each model kind supplies one kernel that runs a whole scenario in one
+call: ``simulate(params, rng, initial_state, inputs, horizon)`` returns
+one fresh state dict per step. ``inputs`` holds each scenario input as
+a series of exactly ``horizon`` floats; a series shorter than the
+horizon holds its last value, an empty one reads 0. Execution is
 deterministic for a fixed (spec, scenario, seed): the only randomness
-is the scenario seed, consumed by kinds that opt into noise.
+is the scenario seed, consumed by kinds that opt into noise. After the
+run, the first non-finite state value fails the scenario with a
+``NumericalFailure`` that carries the states before that step.
 
 The built-in ``traffic-flow`` kind tracks one state variable,
 ``density`` in [0, 1]:
@@ -32,7 +36,8 @@ from .errors import (DuplicateModel, InvalidSpec, NotFound, NumericalFailure)
 from .storage import Namespace, RecordKey, SharedStorage
 
 State = dict[str, float]
-Transition = Callable[[State, State], State]
+Kernel = Callable[[dict, random.Random, State, dict[str, list[float]], int],
+                  list[State]]
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ class ModelKind:
     parameter_names: frozenset[str]
     required_parameters: frozenset[str]
     validate: Callable[[dict], None]
-    make_transition: Callable[[dict, random.Random], Transition]
+    simulate: Kernel
 
 
 def _validate_traffic_params(params: dict) -> None:
@@ -157,7 +162,9 @@ def _validate_traffic_params(params: dict) -> None:
             raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
 
 
-def _make_traffic_transition(params: dict, rng: random.Random) -> Transition:
+def _simulate_traffic(params: dict, rng: random.Random, initial_state: State,
+                      inputs: dict[str, list[float]], horizon: int,
+                      ) -> list[State]:
     capacity = float(params["capacity"])
     inflow_gain = float(params.get("inflow_gain", 1.0))
     sensitivity = float(params.get("green_sensitivity", 0.0))
@@ -165,16 +172,22 @@ def _make_traffic_transition(params: dict, rng: random.Random) -> Transition:
     scale = float(params.get("capacity_scale", capacity))
     sigma = float(params.get("noise_sigma", 0.0))
     effective_capacity = capacity + sensitivity * extension
-
-    def transition(state: State, inputs: State) -> State:
-        inflow = float(inputs.get("inflow", 0.0))
+    inflows = inputs["inflow"] if "inflow" in inputs else [0.0] * horizon
+    noisy = sigma > 0
+    gauss = rng.gauss
+    density = initial_state.get("density", 0.0)
+    states: list[State] = []
+    append = states.append
+    for inflow in inflows:
         delta = (inflow_gain * inflow - effective_capacity) / scale
-        if sigma > 0:
-            delta += rng.gauss(0.0, sigma)
-        density = min(1.0, max(0.0, float(state.get("density", 0.0)) + delta))
-        return {"density": density}
-
-    return transition
+        if noisy:
+            delta += gauss(0.0, sigma)
+        # the same values as min(1.0, max(0.0, d)); a NaN becomes 0.0
+        d = density + delta
+        d = d if d > 0.0 else 0.0
+        density = d if d < 1.0 else 1.0
+        append({"density": density})
+    return states
 
 
 TRAFFIC_FLOW_KIND = ModelKind(
@@ -184,14 +197,10 @@ TRAFFIC_FLOW_KIND = ModelKind(
                                "noise_sigma"}),
     required_parameters=frozenset({"capacity"}),
     validate=_validate_traffic_params,
-    make_transition=_make_traffic_transition,
+    simulate=_simulate_traffic,
 )
 
 KIND_TABLE: dict[str, ModelKind] = {TRAFFIC_FLOW_KIND.name: TRAFFIC_FLOW_KIND}
-
-
-def register_kind(kind: ModelKind) -> None:
-    KIND_TABLE[kind.name] = kind
 
 
 # ---------------------------------------------------------------------------
@@ -237,42 +246,43 @@ def validate_scenario(scenario: SimScenario, spec: ModelSpec) -> None:
         for v in series:
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise InvalidSpec(f"non-finite value in series {name!r}")
+    for name, v in scenario.initial_state.items():
+        if not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise InvalidSpec(f"non-finite initial state {name}={v!r}")
     merged = dict(spec.parameters)
     merged.update(scenario.overrides)
     KIND_TABLE[spec.kind].validate(merged)
 
 
-def _input_at(scenario: SimScenario, step: int) -> State:
-    # hold the last value when a series is shorter than the horizon
-    inputs: State = {}
+def _held_inputs(scenario: SimScenario) -> dict[str, list[float]]:
+    """Each input series as exactly `horizon` floats: the last value is
+    held past the end of a short series, and an empty one reads 0."""
+    horizon = scenario.horizon
+    inputs: dict[str, list[float]] = {}
     for name, series in scenario.input_series.items():
-        if not series:
-            inputs[name] = 0.0
-        elif step < len(series):
-            inputs[name] = float(series[step])
-        else:
-            inputs[name] = float(series[-1])
+        held = [float(v) for v in series[:horizon]]
+        held.extend([held[-1] if held else 0.0] * (horizon - len(held)))
+        inputs[name] = held
     return inputs
 
 
 def execute(spec: ModelSpec, scenario: SimScenario,
             completed_at: datetime) -> SimResult:
-    """Run the step loop; a pure function of its arguments."""
+    """Run the scenario in one kernel call; a pure function of its
+    arguments."""
     params = dict(spec.parameters)
     params.update(scenario.overrides)
     kind = KIND_TABLE[spec.kind]
-    rng = random.Random(scenario.seed)
-    transition = kind.make_transition(params, rng)
-    state: State = {k: float(v) for k, v in scenario.initial_state.items()}
-    series: list[State] = []
-    for step in range(scenario.horizon):
-        state = transition(state, _input_at(scenario, step))
+    initial: State = {k: float(v) for k, v in scenario.initial_state.items()}
+    series = kind.simulate(params, random.Random(scenario.seed), initial,
+                           _held_inputs(scenario), scenario.horizon)
+    isfinite = math.isfinite
+    for step, state in enumerate(series):
         for name, value in state.items():
-            if not math.isfinite(value):
+            if not isfinite(value):
                 raise NumericalFailure(
                     f"non-finite {name}={value!r} at step {step}",
-                    partial_series=tuple(series))
-        series.append(dict(state))
+                    partial_series=tuple(series[:step]))
     objective = None
     if scenario.objective_metric is not None:
         objective = series[-1].get(scenario.objective_metric)

@@ -181,6 +181,23 @@ def test_sim_run_without_model_is_a_config_error(tmp_path):
     assert main(["sim", "run", "--scenario", str(scenario)]) == 2
 
 
+@pytest.mark.parametrize("change", [
+    {"horizon": 0},
+    {"overrides": {"capacity": 0}},
+    {"input_series": {"nitrogen": [1.0]}, "overrides": {"bogus": 1.0}},
+    {"initial_state": {"density": float("nan")}},
+], ids=["horizon-0", "zero-capacity", "unknown-names", "nan-initial-state"])
+def test_sim_run_rejects_an_invalid_scenario(tmp_path, capsys, change):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"model": SPEC_DOC,
+                                    "scenario": {**SCENARIO_DOC, **change}}),
+                        encoding="utf-8")
+    assert main(["sim", "run", "--scenario", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
 # -- run ---------------------------------------------------------------------------
 
 

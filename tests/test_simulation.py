@@ -7,14 +7,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from twinarch.errors import (DuplicateModel, InvalidSpec, NotFound,
                              NumericalFailure)
 from twinarch.simulation import (KIND_TABLE, ModelEngine, ModelKind,
                                  ModelManager, ModelSpec, SimScenario,
-                                 execute, register_kind, validate_scenario,
-                                 validate_spec)
+                                 execute, validate_scenario, validate_spec)
 from twinarch.storage import Namespace, Query, SharedStorage
 
 from conftest import ts
@@ -66,6 +65,7 @@ def test_scenario_validation_rejections():
         scenario(objective_metric="speed"),
         scenario(input_series={"inflow": [1.0, float("nan")]}),
         scenario(overrides={"capacity": -5.0}),   # merged params re-checked
+        scenario(initial_state={"density": float("nan")}),
     ]
     for sc in cases:
         with pytest.raises(InvalidSpec):
@@ -120,9 +120,35 @@ _scenarios = st.builds(
     horizon=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),
 )
+# the what-if shape: long horizons over short held series, and initial
+# densities the clamp must map into [0, 1] (NaN to 0, +inf to 1)
+_whatif_scenarios = st.builds(
+    scenario,
+    initial_state=st.fixed_dictionaries({"density": st.one_of(
+        st.floats(-2.0, 3.0),
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]))}),
+    input_series=st.fixed_dictionaries(
+        {"inflow": st.lists(st.floats(0.0, 200.0), max_size=10)}),
+    horizon=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
-@given(params=_params, sc=_scenarios)
+_EXAMPLE_PARAMS = {"capacity": 30.0, "inflow_gain": 1.0,
+                   "green_sensitivity": 0.0, "green_extension": 0.0,
+                   "capacity_scale": 30.0, "noise_sigma": 0.1}
+
+
+@given(params=_params, sc=st.one_of(_scenarios, _whatif_scenarios))
+@example(params=_EXAMPLE_PARAMS, sc=scenario(
+    initial_state={"density": float("nan")},
+    input_series={"inflow": [20.0, 40.0]}, horizon=150, seed=3))
+@example(params=_EXAMPLE_PARAMS, sc=scenario(
+    initial_state={"density": float("inf")},
+    input_series={"inflow": [25.0]}, horizon=120, seed=4))
+@example(params=_EXAMPLE_PARAMS, sc=scenario(
+    initial_state={"density": float("-inf")}, input_series={"inflow": []},
+    horizon=150, seed=5))
 def test_execute_matches_oracle(params, sc):
     spec = ModelSpec("m1", "traffic-flow", params,
                      inputs=("inflow",), outputs=("density",))
@@ -186,7 +212,17 @@ def test_short_series_holds_last_value_and_empty_reads_zero():
     assert [s["density"] for s in empty.state_series] == [0.0, 0.0]
 
 
-# --- numerical failure via a registered kind ---------------------------------
+# --- numerical failure via a test-only kind ----------------------------------
+
+def _simulate_diverging(params, rng, initial_state, inputs, horizon):
+    # a product overflows to inf where 1e200 ** 2 raises OverflowError
+    x = initial_state.get("x", 1.0)
+    states = []
+    for _ in range(horizon):
+        x = x * 1e200
+        states.append({"x": x})
+    return states
+
 
 @pytest.fixture
 def diverging_kind():
@@ -195,10 +231,9 @@ def diverging_kind():
         parameter_names=frozenset({"rate"}),
         required_parameters=frozenset(),
         validate=lambda params: None,
-        make_transition=lambda params, rng: (
-            lambda state, inputs: {"x": state.get("x", 1.0) * 1e200}),
+        simulate=_simulate_diverging,
     )
-    register_kind(kind)
+    KIND_TABLE[kind.name] = kind
     yield kind
     KIND_TABLE.pop(kind.name, None)
 
