@@ -1,11 +1,12 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR \
-        --workload prediction-search --seeds 1-10 [--seconds 30]
+        --workload prediction-search --seeds 1-10
 
 For each seed it runs `python3 twinbench/run.py --workload W --seed N
---seconds S --trace 0` once in each checkout; an odd seed runs the
-parent first, an even seed the change. Every run prints one line with
+--seconds S --trace 0` once in each checkout, with S the `run_seconds`
+of `BENCHMARK.json`; an odd seed runs the parent first, an even seed
+the change. Every run prints one line with
 its end-to-end metrics and the median of its `host_probe_ms` samples,
 the worker's timing of a fixed reference loop, so a run can be read
 against the host's speed at the time.
@@ -43,7 +44,7 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> tuple[dict, dict]:
+             seconds: int) -> tuple[dict, dict]:
     """One benchmark run; returns (result, details) from its last two
     lines of output."""
     proc = subprocess.run(
@@ -70,11 +71,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
 
-    end_to_end = json.loads(
-        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    end_to_end, seconds = bench["end_to_end"], bench["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     values: dict[str, dict[str, list[float]]] = {s: {} for s in sides}
     pairs: list[dict[str, dict]] = []
@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in order:
             try:
                 result, details = run_once(sides[side], args.workload,
-                                           seed, args.seconds)
+                                           seed, seconds)
             except (RuntimeError, OSError, ValueError, IndexError) as exc:
                 print(f"bench_pairs: {exc}", file=sys.stderr)
                 return 2
@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"host_probe_ms={probe:.3f} {shown}", flush=True)
         pairs.append(pair)
 
-    print(f"\n{args.workload}, {len(pairs)} pairs, {args.seconds:g} s runs; "
+    print(f"\n{args.workload}, {len(pairs)} pairs, {seconds:g} s runs; "
           "median [q1, q3]")
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"

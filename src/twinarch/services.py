@@ -19,6 +19,7 @@ simple and documented so independent oracles can recompute them:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
@@ -445,13 +446,19 @@ class ScenarioGenerator:
 
     def initial_state_for(self, entity_id: str) -> dict[str, float]:
         """Seed state for what-if runs: the current fused value of the
-        objective metric, or 0 when nothing is known yet."""
+        objective metric, or 0 when nothing is known yet. A value that
+        does not read as a finite number (a device may report the string
+        "NaN") counts as unknown too."""
+        metric = self.settings.objective_metric
         try:
             state = self.state_monitor.get_state(entity_id)
-            value = state.metrics.get(self.settings.objective_metric, 0.0)
-            return {self.settings.objective_metric: float(value)}
         except NotFound:
-            return {self.settings.objective_metric: 0.0}
+            return {metric: 0.0}
+        try:
+            value = float(state.metrics.get(metric, 0.0))
+        except (TypeError, ValueError):
+            return {metric: 0.0}
+        return {metric: value if math.isfinite(value) else 0.0}
 
     def gen_scenario(self, deviation: Deviation, candidate: CandidateSolution,
                      inflow_series: list[float], base_time: datetime,

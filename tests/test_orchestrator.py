@@ -203,6 +203,34 @@ def test_corrupt_payload_drops_the_tick_but_stays_conformant(repo_root):
         manager.shutdown()
 
 
+def test_a_nan_density_reading_does_not_stop_the_monitoring_loop(repo_root):
+    # a device reporting `d|NaN` leaves the string "NaN" in the shadow,
+    # which the what-if seed reads as an unknown density
+    manifest = demo_manifest(repo_root, "monitoring", "monitoring")
+    run = manifest.run
+    shadow_type = dataclasses.replace(
+        run.shadow_types[0],
+        attribute_set=run.shadow_types[0].attribute_set | {"density"})
+    adapter = dataclasses.replace(
+        run.adapter, attribute_map={**run.adapter.attribute_map,
+                                    "d": "density"})
+    run = dataclasses.replace(run, shadow_types=(shadow_type,),
+                              adapter=adapter)
+    manager = TwinManager(dataclasses.replace(manifest, run=run), seed=0)
+    try:
+        receipt = manager.p2d.ingest("d|NaN", run.entity_id,
+                                     observed_at=manager.clock.at(0))
+        for measurement in receipt.measurements:
+            manager.shadow_manager.update_from_measurement(measurement)
+        assert manager.monitor.get_state(run.entity_id).metrics[
+            "density"] == "NaN"
+        output = manager.run_monitoring()
+        assert output.ticks_run == 10
+        assert output.states["TLF01"].metrics["density"] == pytest.approx(1.0)
+    finally:
+        manager.shutdown()
+
+
 def test_swapped_template_override_fails_conformance(repo_root):
     manifest = demo_manifest(repo_root, "monitoring_swapped", "monitoring")
     output, manager = run_loop(manifest, "monitoring", seed=0, check=True)

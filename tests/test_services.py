@@ -305,6 +305,13 @@ def test_initial_state_defaults_to_zero_without_data():
     assert gen.initial_state_for("TLF01") == {"density": 0.0}
 
 
+@pytest.mark.parametrize("value", ["NaN", "inf", "-inf", "heavy"])
+def test_initial_state_reads_a_non_finite_value_as_unknown(value):
+    # strings pass the wire's scalar check; a what-if seed must be finite
+    gen = generator(points=(("density", value, 5),))
+    assert gen.initial_state_for("TLF01") == {"density": 0.0}
+
+
 def test_unmappable_actions_are_rejected():
     gen = generator()
     bad = [
