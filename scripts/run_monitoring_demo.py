@@ -22,12 +22,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=str(DEMO))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ticks", type=int, default=None)
     args = parser.parse_args()
 
     manifest = load_manifest(args.config, loop="monitoring")
     output, manager = run_loop(manifest, "monitoring", seed=args.seed,
-                               ticks=args.ticks, check=True)
+                               check=True)
     try:
         for entity, state in output.states.items():
             print(f"{entity}: {state.describe()} [{state.provenance.value}]")

@@ -15,13 +15,12 @@ from .clock import DEFAULT_EPOCH, LogicalClock, format_rfc3339, parse_rfc3339
 from .errors import TwinArchError
 from .orchestrator import RunOutput, TwinManager, run_loop
 from .storage import Namespace, Query, Record, RecordKey, SharedStorage
-from .wire import CanonicalEntity, Measurement, Source
+from .wire import Measurement, Source
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Catalog",
-    "CanonicalEntity",
     "ConformanceReport",
     "DEFAULT_EPOCH",
     "LogicalClock",

@@ -21,10 +21,10 @@ from pathlib import Path
 from .catalog import (catalog_to_json, check_traceability, iso_report,
                       load_catalog, traceability_report)
 from .clock import DEFAULT_EPOCH, format_rfc3339, parse_rfc3339
-from .configs import load_manifest
+from .configs import load_manifest, parse_bands, read_json
 from .errors import ConfigError, InvalidSpec, ParseError, TwinArchError
 from .orchestrator import run_loop
-from .services import Band, PredictorConfig, Predictor, DeviationDetector
+from .services import PredictorConfig, Predictor, DeviationDetector
 from .shadows import ShadowManager
 from .simulation import (ModelSpec, SimScenario, execute, validate_scenario,
                          validate_spec)
@@ -272,13 +272,8 @@ def cmd_service_predict(args: argparse.Namespace) -> int:
                    for stamp, metrics in prediction.predicted_series],
     }
     if args.thresholds:
-        bands_doc = json.loads(Path(args.thresholds).read_text(
-            encoding="utf-8"))
-        bands = {name: Band(lo=float(b["lo"]), hi=float(b["hi"]),
-                            critical_multiplier=float(
-                                b.get("critical_multiplier", 0.5)))
-                 for name, b in bands_doc.get("bands", {}).items()}
-        detector = DeviationDetector(bands)
+        detector = DeviationDetector(parse_bands(
+            read_json(Path(args.thresholds), "thresholds file")))
         doc["deviations"] = [{
             "metric": d.metric, "value": d.value, "expected": d.expected,
             "severity": d.severity.value, "kind": d.kind.value,
@@ -294,22 +289,22 @@ def cmd_service_predict(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sim_run(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
-    if "scenario" in doc and "model" in doc:
+    doc = read_json(Path(args.scenario), "scenario file")
+    if isinstance(doc, dict) and "scenario" in doc and "model" in doc:
         spec_doc, scenario_doc = doc["model"], doc["scenario"]
     else:
         if not args.model:
             raise ConfigError(
                 "scenario file has no embedded model; pass --model spec.json")
-        spec_doc = json.loads(Path(args.model).read_text(encoding="utf-8"))
+        spec_doc = read_json(Path(args.model), "model file")
         scenario_doc = doc
-    spec = ModelSpec.from_json(spec_doc)
-    scenario = SimScenario.from_json(scenario_doc)
     try:
+        spec = ModelSpec.from_json(spec_doc)
+        scenario = SimScenario.from_json(scenario_doc)
         validate_spec(spec)
         validate_scenario(scenario, spec)
-    except InvalidSpec as exc:
-        raise ConfigError(str(exc)) from exc
+    except (KeyError, TypeError, ValueError, InvalidSpec) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
     completed_at = scenario.base_time or DEFAULT_EPOCH
     result = execute(spec, scenario, completed_at=completed_at)
     json.dump({

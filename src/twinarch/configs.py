@@ -22,8 +22,8 @@ from pathlib import Path
 from .adapters import AdapterConfig, Direction
 from .errors import ConfigError
 from .harness import Fault, FaultKind, HarnessConfig
-from .services import (Band, CandidateSolution, Action, FeedbackConfig,
-                       PredictorConfig, SimulationSettings)
+from .services import (FORECAST_METHODS, Band, CandidateSolution, Action,
+                       FeedbackConfig, PredictorConfig, SimulationSettings)
 from .shadows import ShadowType
 from .simulation import ModelSpec
 from .tracing import SequenceTemplate
@@ -44,6 +44,28 @@ def _require(doc: dict, key: str, kind: type, where: str) -> object:
     return value
 
 
+def _convert(doc: dict, key: str, kind: type, default: object,
+             where: str) -> object:
+    """`kind(doc.get(key, default))`; a value that does not convert is
+    a ConfigError naming the field."""
+    value = doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{where}.{key}: not a {kind.__name__}: {value!r}") from exc
+
+
+def read_json(path: Path, what: str) -> object:
+    """Parse a JSON file; an absent or malformed one is a ConfigError."""
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def _load_section(manifest: dict, key: str, base: Path,
                   required: bool) -> dict | None:
     section = manifest.get(key)
@@ -52,13 +74,7 @@ def _load_section(manifest: dict, key: str, base: Path,
             raise ConfigError(f"manifest: missing section {key!r}")
         return None
     if isinstance(section, str):
-        path = base / section
-        if not path.exists():
-            raise ConfigError(f"manifest: {key} file not found: {path}")
-        try:
-            section = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        section = read_json(base / section, f"manifest: {key} file")
     if not isinstance(section, dict):
         raise ConfigError(f"manifest: section {key!r} must be an object")
     return section
@@ -70,8 +86,6 @@ class RunConfig:
     tick_interval: float
     max_ticks: int
     horizon: int
-    low_latency_ingest: bool
-    feedback_on_change_only: bool
     model: ModelSpec
     sim: SimulationSettings
     predictor: PredictorConfig
@@ -139,21 +153,35 @@ def _parse_run(doc: dict) -> RunConfig:
         model = ModelSpec.from_json(model_doc)
     except KeyError as exc:
         raise ConfigError(f"{where}.model: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.model: {exc}") from exc
+    for key in ("low_latency_ingest", "feedback_on_change_only"):
+        # removed run variants; older manifests carry both as false
+        if doc.get(key, False) is not False:
+            raise ConfigError(f"{where}.{key}: removed; only false is "
+                              f"accepted, got {doc[key]!r}")
     sim_doc = doc.get("sim", {})
+    sim_where = f"{where}.sim"
     sim = SimulationSettings(
         model_id=model.model_id,
         objective_metric=sim_doc.get("objective_metric", "density"),
         input_metric=sim_doc.get("input_metric", "vehicleFlow"),
         input_name=sim_doc.get("input_name", "inflow"),
-        horizon=int(sim_doc.get("horizon", 10)),
-        step_size=float(sim_doc.get("step_size", 1.0)),
-        seed=int(sim_doc.get("seed", 0)))
+        horizon=_convert(sim_doc, "horizon", int, 10, sim_where),
+        step_size=_convert(sim_doc, "step_size", float, 1.0, sim_where),
+        seed=_convert(sim_doc, "seed", int, 0, sim_where))
     pred_doc = doc.get("predictor", {})
+    pred_where = f"{where}.predictor"
+    method = pred_doc.get("method", "linear")
+    if method not in FORECAST_METHODS:
+        raise ConfigError(f"{pred_where}.method: unknown forecast method "
+                          f"{method!r}; one of {sorted(FORECAST_METHODS)}")
     predictor = PredictorConfig(
-        method=pred_doc.get("method", "linear"),
-        window=int(pred_doc.get("window", 10)),
-        min_window=int(pred_doc.get("min_window", 3)),
-        moving_average_k=int(pred_doc.get("moving_average_k", 3)),
+        method=method,
+        window=_convert(pred_doc, "window", int, 10, pred_where),
+        min_window=_convert(pred_doc, "min_window", int, 3, pred_where),
+        moving_average_k=_convert(pred_doc, "moving_average_k", int, 3,
+                                  pred_where),
         attributes=tuple(pred_doc["attributes"])
         if "attributes" in pred_doc else None)
     shadow_types = []
@@ -192,9 +220,9 @@ def _parse_run(doc: dict) -> RunConfig:
             template = SequenceTemplate.from_json(doc["check_template"])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{where}.check_template: {exc}") from exc
-    tick_interval = float(doc.get("tick_interval", 1.0))
-    max_ticks = int(doc.get("max_ticks", 10))
-    horizon = int(doc.get("horizon", 5))
+    tick_interval = _convert(doc, "tick_interval", float, 1.0, where)
+    max_ticks = _convert(doc, "max_ticks", int, 10, where)
+    horizon = _convert(doc, "horizon", int, 5, where)
     if tick_interval <= 0:
         raise ConfigError(f"{where}: tick_interval must be > 0")
     if max_ticks < 1:
@@ -203,19 +231,20 @@ def _parse_run(doc: dict) -> RunConfig:
         raise ConfigError(f"{where}: horizon must be >= 1")
     return RunConfig(
         entity_id=entity_id, tick_interval=tick_interval,
-        max_ticks=max_ticks, horizon=horizon,
-        low_latency_ingest=bool(doc.get("low_latency_ingest", False)),
-        feedback_on_change_only=bool(doc.get("feedback_on_change_only",
-                                             False)),
-        model=model, sim=sim, predictor=predictor,
-        shadow_types=tuple(shadow_types), adapter=adapter,
+        max_ticks=max_ticks, horizon=horizon, model=model, sim=sim,
+        predictor=predictor, shadow_types=tuple(shadow_types),
+        adapter=adapter,
         device_registry=dict(doc.get("device_registry", {})),
         feedback=feedback, check_template=template)
 
 
-def _parse_bands(doc: dict) -> dict[str, Band]:
+def parse_bands(doc: object) -> dict[str, Band]:
+    """The `bands` of a thresholds document, each validated."""
+    specs = doc.get("bands", {}) if isinstance(doc, dict) else None
+    if not isinstance(specs, dict):
+        raise ConfigError("thresholds: expected {\"bands\": {...}}")
     bands = {}
-    for metric, spec in doc.get("bands", {}).items():
+    for metric, spec in specs.items():
         if not isinstance(spec, dict):
             raise ConfigError(f"thresholds: band {metric!r} must be an object")
         try:
@@ -223,7 +252,7 @@ def _parse_bands(doc: dict) -> dict[str, Band]:
                 lo=float(spec["lo"]), hi=float(spec["hi"]),
                 critical_multiplier=float(spec.get("critical_multiplier",
                                                    0.5)))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"thresholds: band {metric!r}: {exc}") from exc
     if not bands:
         raise ConfigError("thresholds: no bands configured")
@@ -252,12 +281,7 @@ def _parse_candidates(doc: dict) -> tuple[CandidateSolution, ...]:
 def load_manifest(path: str | Path, loop: str = "monitoring") -> Manifest:
     """Load and validate a manifest for the given loop kind."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"manifest not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: manifest must be a JSON object")
     base = path.parent
@@ -270,7 +294,7 @@ def load_manifest(path: str | Path, loop: str = "monitoring") -> Manifest:
     candidates_doc = _load_section(doc, "candidates", base, required=False)
     if needs_services and candidates_doc is None:
         raise ConfigError("manifest: prediction loop needs 'candidates'")
-    bands = _parse_bands(thresholds_doc) if thresholds_doc else {}
+    bands = parse_bands(thresholds_doc) if thresholds_doc else {}
     candidates = _parse_candidates(candidates_doc) if candidates_doc else ()
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str):

@@ -101,7 +101,6 @@ class TwinManager:
                 settings.objective_metric) or _any_band(manifest.bands))
 
         self._model_pushed = False
-        self._last_metrics: dict | None = None
 
     # -- shared hops -------------------------------------------------------------
 
@@ -150,24 +149,16 @@ class TwinManager:
                 continue
             self.tracer.record("DataProvider", "P2DAdapter", "transmitData",
                                {"payload": payload})
-            if run.low_latency_ingest:
-                self.tracer.record("P2DAdapter", "ShadowManager",
-                                   "updateShadows",
-                                   {"count": receipt.stored})
-                self.tracer.record("P2DAdapter", "DataManager", "storeData",
-                                   {"stored": receipt.stored,
-                                    "rejected": receipt.rejected})
-            else:
-                self.tracer.record("P2DAdapter", "DataManager", "storeData",
-                                   {"stored": receipt.stored,
-                                    "rejected": receipt.rejected})
+            # the hops in the order the work ran: stored, then shadowed
+            self.tracer.record("P2DAdapter", "DataManager", "storeData",
+                               {"stored": receipt.stored,
+                                "rejected": receipt.rejected})
             updated = []
             for measurement in receipt.measurements:
                 updated.extend(
                     self.shadow_manager.update_from_measurement(measurement))
-            if not run.low_latency_ingest:
-                self.tracer.record("DataManager", "ShadowManager",
-                                   "updateShadows", {"shadows": updated})
+            self.tracer.record("DataManager", "ShadowManager",
+                               "updateShadows", {"shadows": updated})
             stored_total += receipt.stored
         return stored_total
 
@@ -227,10 +218,6 @@ class TwinManager:
                                {"metrics": state.metrics,
                                 "provenance": state.provenance.value})
 
-            if (run.feedback_on_change_only
-                    and self._last_metrics == state.metrics):
-                continue
-            self._last_metrics = dict(state.metrics)
             deviations = (self.detector.detect_deviation(state)
                           if self.manifest.bands else [])
             item: Deviation | None = deviations[0] if deviations else None
@@ -328,9 +315,7 @@ class TwinManager:
         if self.run_config.check_template is not None:
             return self.run_config.check_template
         if loop == "monitoring":
-            return monitoring_template(
-                low_latency=self.run_config.low_latency_ingest,
-                feedback_optional=self.run_config.feedback_on_change_only)
+            return monitoring_template()
         return prediction_template()
 
     def check(self, loop: str) -> MatchReport:

@@ -462,8 +462,7 @@ class ScenarioGenerator:
 
     def gen_scenario(self, deviation: Deviation, candidate: CandidateSolution,
                      inflow_series: list[float], base_time: datetime,
-                     initial_state: dict[str, float] | None = None,
-                     ) -> SimScenario:
+                     initial_state: dict[str, float]) -> SimScenario:
         if not candidate.actions:
             raise UnmappableAction(
                 f"candidate {candidate.candidate_id!r} has no actions")
@@ -483,12 +482,10 @@ class ScenarioGenerator:
                 series = [v * (1.0 - float(fraction)) for v in series]
             else:
                 raise UnmappableAction(f"no mapping for action {action.name!r}")
-        initial = (dict(initial_state) if initial_state is not None
-                   else self.initial_state_for(deviation.entity_id))
         return SimScenario(
             scenario_id=self._next_id(candidate),
             model_id=self.settings.model_id,
-            initial_state=initial,
+            initial_state=dict(initial_state),
             input_series={self.settings.input_name: series},
             horizon=self.settings.horizon,
             step_size=self.settings.step_size,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from .errors import DuplicateShadow, InvalidQuery, NotFound
+from .errors import DuplicateShadow, InvalidQuery
 from .storage import Namespace, Query, Record, RecordKey, SharedStorage
 from .wire.common import Measurement, Scalar
 
@@ -65,24 +65,6 @@ class Shadow:
     trace: list[TracePoint] = field(default_factory=list)
     created_at: datetime | None = None
 
-    @property
-    def updated_at(self) -> datetime | None:
-        if not self.trace:
-            return self.created_at
-        return max(p.observed_at for p in self.trace)
-
-    def latest(self, attribute: str) -> TracePoint | None:
-        best = None
-        for p in self.trace:
-            if p.attribute == attribute:
-                if best is None or p.observed_at >= best.observed_at:
-                    best = p
-        return best
-
-    def series(self, attribute: str) -> list[tuple[datetime, Scalar]]:
-        return [(p.observed_at, p.value) for p in self.trace
-                if p.attribute == attribute]
-
 
 class ShadowManager:
     """Lifecycle and query surface over storage-backed shadow traces."""
@@ -96,9 +78,6 @@ class ShadowManager:
         # shadow_id -> attribute -> the newest point of its trace, the
         # same point get_shadow would end the attribute's series with
         self._latest: dict[str, dict[str, TracePoint]] = {}
-
-    def register_type(self, shadow_type: ShadowType) -> None:
-        self._types[shadow_type.name] = shadow_type
 
     def rebuild_index(self) -> int:
         """Re-attach to shadows already present in storage (e.g. after
@@ -143,7 +122,7 @@ class ShadowManager:
     def create_shadow(self, shadow_type: ShadowType, entity_id: str,
                       created_at: datetime) -> str:
         """Register a shadow and backfill its trace from measurements."""
-        self.register_type(shadow_type)
+        self._types[shadow_type.name] = shadow_type
         pair = (shadow_type.name, entity_id)
         if pair in self._index:
             raise DuplicateShadow(
@@ -175,20 +154,6 @@ class ShadowManager:
             self._put_point(shadow_type, entity_id, record.key.name,
                             record.key.observed_at, body.get("value"),
                             late=False)
-
-    def delete_shadow(self, shadow_id: str) -> None:
-        """Drop the shadow and tombstone all of its storage records."""
-        meta = self._meta.pop(shadow_id, None)
-        if meta is None:
-            raise NotFound(f"no shadow {shadow_id!r}")
-        shadow_type, entity_id, _ = meta
-        del self._index[(shadow_type.name, entity_id)]
-        del self._latest[shadow_id]
-        prefix = f"{shadow_type.name}."
-        for record in self.storage.crud_read(Query(
-                namespace=Namespace.SHADOWS, entity_id=entity_id)):
-            if record.key.name.startswith(prefix):
-                self.storage.crud_delete(record.key)
 
     # -- updates ---------------------------------------------------------------
 

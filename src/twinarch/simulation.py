@@ -340,11 +340,11 @@ class ModelEngine:
     committed to the SimResults namespace.
     """
 
-    def __init__(self, manager: ModelManager, storage: SharedStorage | None,
-                 clock: Callable[[], datetime] | None = None) -> None:
+    def __init__(self, manager: ModelManager, storage: SharedStorage,
+                 clock: Callable[[], datetime]) -> None:
         self.manager = manager
         self.storage = storage
-        self._clock = clock or (lambda: datetime.now().astimezone())
+        self._clock = clock
         self._queue: deque[SimScenario] = deque()
         self._status: dict[str, SimStatus] = {}
 
@@ -371,8 +371,6 @@ class ModelEngine:
 
     def _store_result(self, spec: ModelSpec, scenario: SimScenario,
                       result: SimResult) -> None:
-        if self.storage is None:
-            return
         base_time = scenario.base_time or result.completed_at
         key = RecordKey(namespace=Namespace.SIM_RESULTS,
                         entity_id=scenario.entity_id or scenario.model_id,

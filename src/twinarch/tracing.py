@@ -89,21 +89,6 @@ class Tracer:
                 fh.write(json.dumps(event.to_json()) + "\n")
 
 
-def read_trace(path: str | Path) -> list[TraceEvent]:
-    events = []
-    with open(path, encoding="utf-8") as fh:
-        for seq, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            events.append(TraceEvent(
-                tick=int(doc["tick"]), seq=seq, source=doc["from"],
-                target=doc["to"], message=doc["message"],
-                digest=doc.get("digest", "")))
-    return events
-
-
 # ---------------------------------------------------------------------------
 # Templates
 # ---------------------------------------------------------------------------
@@ -317,29 +302,21 @@ def _check_rules(template: SequenceTemplate, entered: dict[str, int],
 # Embedded loop templates
 # ---------------------------------------------------------------------------
 
-def monitoring_template(low_latency: bool = False,
-                        feedback_optional: bool = False) -> SequenceTemplate:
-    """Per-tick monitoring sequence at the entity level.
+# telemetry is stored first, then the shadows are updated from it
+_INGEST_STEPS = (
+    TemplateStep("DataProvider", "P2DAdapter", "transmitData"),
+    TemplateStep("P2DAdapter", "DataManager", "storeData"),
+    TemplateStep("DataManager", "ShadowManager", "updateShadows"),
+)
 
-    The default ingest path goes through DataManager; the low-latency
-    variant feeds ShadowManager directly from the adapter.
-    """
-    if low_latency:
-        ingest_steps = (
-            TemplateStep("DataProvider", "P2DAdapter", "transmitData"),
-            TemplateStep("P2DAdapter", "ShadowManager", "updateShadows"),
-            TemplateStep("P2DAdapter", "DataManager", "storeData"),
-        )
-    else:
-        ingest_steps = (
-            TemplateStep("DataProvider", "P2DAdapter", "transmitData"),
-            TemplateStep("P2DAdapter", "DataManager", "storeData"),
-            TemplateStep("DataManager", "ShadowManager", "updateShadows"),
-        )
+
+def monitoring_template() -> SequenceTemplate:
+    """Per-tick monitoring sequence at the entity level."""
     return SequenceTemplate(
         name="monitoring",
         groups=(
-            StepGroup("ingest", ingest_steps, optional=True, repeatable=True),
+            StepGroup("ingest", _INGEST_STEPS, optional=True,
+                      repeatable=True),
             StepGroup("model", (
                 TemplateStep("TwinManager", "ModelManager", "updateModel",
                              optional=True),
@@ -356,7 +333,7 @@ def monitoring_template(low_latency: bool = False,
                              "deliverState"),
                 TemplateStep("FeedbackProvider", "D2PAdapter", "emitFeedback"),
                 TemplateStep("D2PAdapter", "DataReceiver", "deliverFeedback"),
-            ), optional=feedback_optional),
+            )),
         ))
 
 
@@ -365,11 +342,8 @@ def prediction_template() -> SequenceTemplate:
     return SequenceTemplate(
         name="prediction",
         groups=(
-            StepGroup("ingest", (
-                TemplateStep("DataProvider", "P2DAdapter", "transmitData"),
-                TemplateStep("P2DAdapter", "DataManager", "storeData"),
-                TemplateStep("DataManager", "ShadowManager", "updateShadows"),
-            ), optional=True, repeatable=True),
+            StepGroup("ingest", _INGEST_STEPS, optional=True,
+                      repeatable=True),
             StepGroup("forecast", (
                 TemplateStep("TwinManager", "Predictor", "forecast"),
                 TemplateStep("Predictor", "DeviationDetector",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
@@ -78,32 +78,3 @@ class Measurement:
         if self.location is not None:
             doc["location"] = list(self.location)
         return doc
-
-
-@dataclass(frozen=True)
-class CanonicalEntity:
-    """NGSI-LD-shaped view of one entity: id, type, attributes, location."""
-
-    entity_id: str
-    entity_type: str
-    attributes: dict[str, Measurement] = field(default_factory=dict)
-    location: tuple[float, float] | None = None
-
-    @classmethod
-    def from_measurements(cls, measurements: list[Measurement]) -> "CanonicalEntity":
-        if not measurements:
-            raise ValueError("cannot build an entity from zero measurements")
-        first = measurements[0]
-        attrs: dict[str, Measurement] = {}
-        location = None
-        for m in measurements:
-            if m.entity_id != first.entity_id:
-                raise ValueError(
-                    f"mixed entities: {m.entity_id} vs {first.entity_id}")
-            prev = attrs.get(m.attribute)
-            if prev is None or m.observed_at >= prev.observed_at:
-                attrs[m.attribute] = m
-            if m.location is not None:
-                location = m.location
-        return cls(entity_id=first.entity_id, entity_type=first.entity_type,
-                   attributes=attrs, location=location)

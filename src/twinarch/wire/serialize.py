@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..errors import Unrepresentable
-from .common import CanonicalEntity, Measurement, Source
+from .common import Measurement, Source
 from .ditto import serialize_ditto_thing
 from .dtdl import serialize_dtdl_telemetry
 from .ngsi_ld import serialize_ngsi_ld
@@ -17,9 +17,9 @@ _FORMATS = {
 }
 
 
-def serialize(data: CanonicalEntity | list[Measurement], fmt: Source | str,
+def serialize(data: list[Measurement], fmt: Source | str,
               attribute_map: dict[str, str] | None = None) -> str:
-    """Render measurements (or a whole entity) in the requested format.
+    """Render measurements in the requested format.
 
     Raises :class:`Unrepresentable` when the target format cannot carry
     the data losslessly (e.g. a location under Ultralight).
@@ -28,8 +28,4 @@ def serialize(data: CanonicalEntity | list[Measurement], fmt: Source | str,
         fmt = Source(fmt)
     if fmt not in _FORMATS:
         raise Unrepresentable(f"no serializer for {fmt.value}")
-    if isinstance(data, CanonicalEntity):
-        measurements = sorted(data.attributes.values(), key=lambda m: m.attribute)
-    else:
-        measurements = list(data)
-    return _FORMATS[fmt](measurements, attribute_map)
+    return _FORMATS[fmt](list(data), attribute_map)

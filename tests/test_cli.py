@@ -181,21 +181,38 @@ def test_sim_run_without_model_is_a_config_error(tmp_path):
     assert main(["sim", "run", "--scenario", str(scenario)]) == 2
 
 
-@pytest.mark.parametrize("change", [
-    {"horizon": 0},
-    {"overrides": {"capacity": 0}},
-    {"input_series": {"nitrogen": [1.0]}, "overrides": {"bogus": 1.0}},
-    {"initial_state": {"density": float("nan")}},
-], ids=["horizon-0", "zero-capacity", "unknown-names", "nan-initial-state"])
-def test_sim_run_rejects_an_invalid_scenario(tmp_path, capsys, change):
+@pytest.mark.parametrize("section,change", [
+    ("scenario", {"horizon": 0}),
+    ("scenario", {"overrides": {"capacity": 0}}),
+    ("scenario", {"input_series": {"nitrogen": [1.0]},
+                  "overrides": {"bogus": 1.0}}),
+    ("scenario", {"initial_state": {"density": float("nan")}}),
+    ("model", {"kind": None}),
+], ids=["horizon-0", "zero-capacity", "unknown-names", "nan-initial-state",
+        "model-without-kind"])
+def test_sim_run_rejects_an_invalid_scenario(tmp_path, capsys, section,
+                                             change):
+    doc = {"model": dict(SPEC_DOC), "scenario": dict(SCENARIO_DOC)}
+    doc[section].update(change)
+    # a None value stands for a key left out
+    doc[section] = {k: v for k, v in doc[section].items() if v is not None}
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({"model": SPEC_DOC,
-                                    "scenario": {**SCENARIO_DOC, **change}}),
-                        encoding="utf-8")
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["sim", "run", "--scenario", str(scenario)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("content", [None, "{oops"],
+                         ids=["absent", "not-json"])
+def test_sim_run_rejects_an_unreadable_scenario_file(tmp_path, capsys,
+                                                     content):
+    scenario = tmp_path / "scenario.json"
+    if content is not None:
+        scenario.write_text(content, encoding="utf-8")
+    assert main(["sim", "run", "--scenario", str(scenario)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 # -- run ---------------------------------------------------------------------------
@@ -328,6 +345,28 @@ def test_service_predict_over_a_run_journal(run_journal, tmp_path, capsys):
     # the ramp flattens at 50, so every forecast step sits over the band
     assert doc["deviations"][0]["metric"] == "vehicleFlow"
     assert doc["deviations"][0]["kind"] == "Predicted"
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "{oops",
+    json.dumps({"bands": {"vehicleFlow": {"hi": 43.0}}}),
+    json.dumps({"bands": {"vehicleFlow": {"lo": 43.0, "hi": 0.0}}}),
+    json.dumps([1, 2]),
+], ids=["absent", "not-json", "band-without-lo", "band-upside-down",
+        "not-an-object"])
+def test_service_predict_rejects_bad_thresholds(run_journal, tmp_path,
+                                                capsys, content):
+    thresholds = tmp_path / "bands.json"
+    if content is not None:
+        thresholds.write_text(content, encoding="utf-8")
+    code = main(["service", "predict", "--journal", str(run_journal),
+                 "--entity", "TLF01", "--horizon", "3",
+                 "--thresholds", str(thresholds)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "x"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -90,6 +91,27 @@ def test_check_template_section_parses(tmp_path):
     assert manifest.run.check_template.name == "t"
 
 
+@pytest.mark.parametrize("key", ["low_latency_ingest",
+                                 "feedback_on_change_only"])
+def test_removed_run_switches_read_only_false(tmp_path, key):
+    # older manifests carry both keys set to false
+    doc = variant(**{f"run.{key}": False})
+    manifest = load_manifest(write_manifest(tmp_path, doc), "monitoring")
+    assert manifest.run.entity_id == "TLF01"
+    with pytest.raises(ConfigError, match=re.escape(f"run.{key}")):
+        load_manifest(write_manifest(tmp_path, variant(**{f"run.{key}": 1})),
+                      "monitoring")
+
+
+@pytest.mark.parametrize("dotted", ["run.sim.horizon", "run.tick_interval",
+                                    "run.predictor.window",
+                                    "run.predictor.method"])
+def test_unparsable_run_values_name_their_field(tmp_path, dotted):
+    doc = variant(**{dotted: "abc"})
+    with pytest.raises(ConfigError, match=re.escape(dotted)):
+        load_manifest(write_manifest(tmp_path, doc), "monitoring")
+
+
 def test_demo_manifests_stay_loadable(repo_root):
     monitoring = load_manifest(
         repo_root / "configs" / "demo" / "monitoring" / "manifest.json",
@@ -147,6 +169,18 @@ REJECTED = [
     ("action-without-name", variant(**{"candidates.candidates": [
         {"id": "x", "actions": [{"args": {}}]}]}), "prediction"),
     ("output-dir-not-str", variant(output_dir=7), "monitoring"),
+    ("sim-horizon-not-a-number", variant(**{"run.sim.horizon": "abc"}),
+     "monitoring"),
+    ("tick-interval-not-a-number", variant(**{"run.tick_interval": "fast"}),
+     "monitoring"),
+    ("unknown-forecast-method", variant(**{"run.predictor.method": "cubic"}),
+     "monitoring"),
+    ("model-version-not-a-number", variant(**{"run.model.version": "x"}),
+     "monitoring"),
+    ("low-latency-ingest-on", variant(**{"run.low_latency_ingest": True}),
+     "monitoring"),
+    ("feedback-on-change-only-on",
+     variant(**{"run.feedback_on_change_only": True}), "monitoring"),
 ]
 
 

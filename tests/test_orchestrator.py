@@ -12,7 +12,6 @@ from twinarch.harness import Fault, FaultKind
 from twinarch.orchestrator import TwinManager, run_loop
 from twinarch.services import Band, Provenance, Severity
 from twinarch.storage import Namespace, Query, SharedStorage
-from twinarch.tracing import check_trace, monitoring_template
 
 
 def demo_manifest(repo_root, name, loop):
@@ -156,32 +155,33 @@ def test_prediction_healthy_run_skips_the_whatif_branch(repo_root):
 # -- run variants ------------------------------------------------------------------
 
 
-def test_low_latency_ingest_changes_the_hop_order(repo_root):
-    manifest = demo_manifest(repo_root, "monitoring", "monitoring")
-    run = dataclasses.replace(manifest.run, low_latency_ingest=True)
-    manifest = dataclasses.replace(manifest, run=run)
-    output, manager = run_loop(manifest, "monitoring", seed=0, check=True)
+def test_ingest_hops_are_recorded_in_the_order_the_work_runs(repo_root):
+    manager = TwinManager(demo_manifest(repo_root, "monitoring",
+                                        "monitoring"))
+    entity = manager.run_config.entity_id
+    record = manager.tracer.record
+    seen = []
+
+    def spy(source, target, message, payload=None):
+        if message in ("storeData", "updateShadows"):
+            stamp = manager.clock.at(manager.tracer.tick)
+            stored = manager.storage.latest(Namespace.MEASUREMENTS, entity)
+            shadowed = {p.observed_at for p in
+                        manager.shadow_manager.latest_points(entity).values()}
+            seen.append((message, stored is not None
+                         and stored.key.observed_at == stamp,
+                         stamp in shadowed))
+        return record(source, target, message, payload)
+
+    manager.tracer.record = spy
     try:
-        assert output.report.ok, output.report.divergence
-        # the same trace is not a valid store-first run
-        default = check_trace(output.tracer.events, monitoring_template())
-        assert not default.ok
+        manager.run_monitoring()
     finally:
         manager.shutdown()
-
-
-def test_feedback_on_change_only_skips_stable_ticks(repo_root):
-    manifest = demo_manifest(repo_root, "monitoring", "monitoring")
-    run = dataclasses.replace(manifest.run, feedback_on_change_only=True)
-    manifest = dataclasses.replace(manifest, run=run)
-    output, manager = run_loop(manifest, "monitoring", seed=0, check=True)
-    try:
-        # metrics freeze at {density 1.0, flow 50} from tick 7 on
-        assert len(output.feedbacks) == 7
-        assert output.ticks_run == 10
-        assert output.report.ok, output.report.divergence
-    finally:
-        manager.shutdown()
+    # storeData: the measurement is stored, no shadow has it yet;
+    # updateShadows: the shadow holds it
+    assert seen == [("storeData", True, False),
+                    ("updateShadows", True, True)] * 10
 
 
 def test_corrupt_payload_drops_the_tick_but_stays_conformant(repo_root):

@@ -287,7 +287,8 @@ def test_actions_map_to_overrides_and_series_scaling():
         Action("divert-traffic", "TLF01", {"fraction": 0.5}),
         Action("extend-green", "TLF01", {"seconds": 20}),
     ))
-    sc = gen.gen_scenario(a_deviation(), candidate, [40.0, 60.0], ts(12))
+    sc = gen.gen_scenario(a_deviation(), candidate, [40.0, 60.0], ts(12),
+                          initial_state=gen.initial_state_for("TLF01"))
     assert sc.scenario_id == "whatif-1-both"
     assert sc.overrides == {"green_extension": 20.0}
     assert sc.input_series == {"inflow": [20.0, 30.0]}
@@ -296,7 +297,8 @@ def test_actions_map_to_overrides_and_series_scaling():
     assert sc.entity_id == "TLF01" and sc.base_time == ts(12)
     assert sc.objective_metric == "density"
     # ids keep counting across calls
-    again = gen.gen_scenario(a_deviation(), candidate, [1.0], ts(12))
+    again = gen.gen_scenario(a_deviation(), candidate, [1.0], ts(12),
+                             initial_state={"density": 0.0})
     assert again.scenario_id == "whatif-2-both"
 
 
@@ -323,7 +325,8 @@ def test_unmappable_actions_are_rejected():
     ]
     for candidate in bad:
         with pytest.raises(UnmappableAction):
-            gen.gen_scenario(a_deviation(), candidate, [1.0], ts(0))
+            gen.gen_scenario(a_deviation(), candidate, [1.0], ts(0),
+                             initial_state={"density": 0.0})
 
 
 # --- solution search ----------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from twinarch.tracing import (ChoiceRule, SequenceTemplate, StepGroup,
                               TemplateStep, TraceEvent, Tracer, check_trace,
                               monitoring_template, payload_digest,
-                              prediction_template, read_trace)
+                              prediction_template)
 
 
 def ev(source, target, message, tick=0, seq=0):
@@ -55,7 +55,7 @@ def test_trace_file_round_trip(tmp_path):
     assert lines[0] == {"tick": 0, "from": "TwinManager",
                         "to": "ModelManager", "message": "executeSimulation",
                         "digest": lines[0]["digest"]}
-    assert read_trace(path) == tracer.events
+    assert lines == [e.to_json() for e in tracer.events]
     # equal traces hash equal, different traces do not
     other = Tracer()
     other.record("TwinManager", "ModelManager", "executeSimulation",
@@ -151,18 +151,12 @@ def test_optional_steps_and_repeatable_groups():
 
 # --- embedded templates ---------------------------------------------------------
 
-def monitoring_instance(with_ingest=True, with_update=False,
-                        low_latency=False):
+def monitoring_instance(with_ingest=True, with_update=False):
     steps = []
     if with_ingest:
-        if low_latency:
-            steps += [("DataProvider", "P2DAdapter", "transmitData"),
-                      ("P2DAdapter", "ShadowManager", "updateShadows"),
-                      ("P2DAdapter", "DataManager", "storeData")]
-        else:
-            steps += [("DataProvider", "P2DAdapter", "transmitData"),
-                      ("P2DAdapter", "DataManager", "storeData"),
-                      ("DataManager", "ShadowManager", "updateShadows")]
+        steps += [("DataProvider", "P2DAdapter", "transmitData"),
+                  ("P2DAdapter", "DataManager", "storeData"),
+                  ("DataManager", "ShadowManager", "updateShadows")]
     if with_update:
         steps.append(("TwinManager", "ModelManager", "updateModel"))
     steps += [("TwinManager", "ModelManager", "executeSimulation"),
@@ -175,16 +169,16 @@ def monitoring_instance(with_ingest=True, with_update=False,
     return steps
 
 
-def test_monitoring_template_accepts_both_ingest_orders():
+def test_monitoring_template_accepts_only_store_first_ingest():
     default = events(*(monitoring_instance(with_update=True)
                        + monitoring_instance(with_ingest=False)))
     report = check_trace(default, monitoring_template())
     assert report.ok and report.instances == 2
-    fast = events(*monitoring_instance(with_update=True, low_latency=True))
-    assert check_trace(fast, monitoring_template(low_latency=True)).ok
-    # each variant rejects the other's ingest order
-    assert not check_trace(fast, monitoring_template()).ok
-    assert not check_trace(default, monitoring_template(low_latency=True)).ok
+    # shadows fed straight from the adapter: no connector in the catalog
+    steps = monitoring_instance(with_update=True)
+    steps[1:3] = [("P2DAdapter", "ShadowManager", "updateShadows"),
+                  ("P2DAdapter", "DataManager", "storeData")]
+    assert not check_trace(events(*steps), monitoring_template()).ok
 
 
 def test_monitoring_swapped_adjacent_events_diverge():
@@ -199,7 +193,11 @@ def test_monitoring_swapped_adjacent_events_diverge():
 def test_feedback_group_optional_only_when_flagged():
     quiet = events(*monitoring_instance()[:-3])
     assert not check_trace(quiet, monitoring_template()).ok
-    assert check_trace(quiet, monitoring_template(feedback_optional=True)).ok
+    # a manifest's check_template may flag the group optional
+    doc = monitoring_template().to_json()
+    (feedback,) = [g for g in doc["groups"] if g["name"] == "feedback"]
+    feedback["optional"] = True
+    assert check_trace(quiet, SequenceTemplate.from_json(doc)).ok
 
 
 def prediction_events(deviation=True, whatif=2, plan=True, alert=False):
@@ -262,7 +260,6 @@ def test_prediction_choice_rules():
 # --- template JSON -----------------------------------------------------------
 
 def test_templates_round_trip_through_json():
-    for template in (monitoring_template(), monitoring_template(True, True),
-                     prediction_template(), SIMPLE):
+    for template in (monitoring_template(), prediction_template(), SIMPLE):
         doc = json.loads(json.dumps(template.to_json()))
         assert SequenceTemplate.from_json(doc) == template

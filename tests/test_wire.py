@@ -12,7 +12,7 @@ from twinarch.clock import format_rfc3339, parse_rfc3339
 from twinarch.errors import (MalformedJson, MalformedPayload, ParseError,
                              SchemaViolation, UndeclaredTelemetry, UnknownKey,
                              Unrepresentable)
-from twinarch.wire import (CanonicalEntity, Measurement, Source,
+from twinarch.wire import (Measurement, Source,
                            derive_dtdl_model, parse_ditto_thing,
                            parse_dtdl_telemetry, parse_ngsi_ld,
                            parse_ultralight, serialize)
@@ -154,14 +154,6 @@ def test_ngsi_round_trip(attrs, stamp, unit, location):
     back = parse_ngsi_ld(wire)
     assert sorted(back, key=lambda m: m.attribute) == sorted(
         original, key=lambda m: m.attribute)
-
-
-@given(attrs=_attr_dict(_json_values, forbid=frozenset(_NGSI_RESERVED)))
-def test_canonical_entity_serializes_everywhere_it_fits(attrs):
-    ms = [Measurement("urn:x:1", "Observed", k, v, ts(0)) for k, v in attrs.items()]
-    entity = CanonicalEntity.from_measurements(ms)
-    back = parse_ngsi_ld(serialize(entity, "ngsi-ld"))
-    assert {m.attribute: m.value for m in back} == attrs
 
 
 # --- timestamps ------------------------------------------------------------
@@ -312,20 +304,6 @@ def test_serialize_refuses_what_a_format_cannot_carry():
     with pytest.raises(Unrepresentable):
         serialize([Measurement("a", "T", "x", 1, ts(0)),
                    Measurement("b", "T", "x", 1, ts(0))], "ditto")
-
-
-# --- canonical entity ------------------------------------------------------
-
-def test_canonical_entity_keeps_latest_per_attribute():
-    older = Measurement("e", "T", "flow", 10, ts(0))
-    newer = Measurement("e", "T", "flow", 20, ts(5))
-    entity = CanonicalEntity.from_measurements([newer, older])
-    assert entity.attributes["flow"].value == 20
-    with pytest.raises(ValueError):
-        CanonicalEntity.from_measurements([])
-    with pytest.raises(ValueError):
-        CanonicalEntity.from_measurements(
-            [older, Measurement("f", "T", "flow", 1, ts(0))])
 
 
 def test_measurement_to_json_shape(epoch):
