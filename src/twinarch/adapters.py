@@ -1,10 +1,11 @@
 """Boundary adapters between the physical and digital realms.
 
 P2DAdapter takes raw wire payloads inbound: parse with the format's
-parser, filter by device, clean via processing, commit to the
-Measurements namespace. D2PAdapter takes feedback outbound: alerts
-become notification JSON, plans become one command envelope per
-action, delivered to a receiver callable that must acknowledge.
+parser (`parse_payload`, which `twinarch parse` runs too), filter by
+device, clean via processing, commit to the Measurements namespace.
+D2PAdapter takes feedback outbound: alerts become notification JSON,
+plans become one command envelope per action, delivered to a receiver
+callable that must acknowledge.
 
 Command envelope (stable key order):
 
@@ -75,6 +76,34 @@ class IngestReceipt:
         assert self.stored + self.rejected + self.dropped == self.decoded
 
 
+def parse_payload(config: AdapterConfig, raw: str | bytes, device_id: str,
+                  observed_at: datetime) -> list[Measurement]:
+    """Decode one payload with the parser of `config.format`. The
+    parsers are looked up by their module names at call time, so an
+    instrumented run that rebinds one of them takes effect here."""
+    fmt = config.format
+    try:
+        if fmt is Source.ULTRALIGHT:
+            return parse_ultralight(
+                raw, device_id, observed_at,
+                attribute_map=config.attribute_map or None,
+                entity_type=config.entity_type)
+        if fmt is Source.DITTO:
+            return parse_ditto_thing(raw, observed_at,
+                                     entity_type=config.entity_type)
+        if fmt is Source.DTDL:
+            if config.dtdl_model is None:
+                raise ParseError("adapter has no DTDL model configured")
+            return parse_dtdl_telemetry(config.dtdl_model, raw, observed_at)
+        if fmt is Source.NGSI_LD:
+            return parse_ngsi_ld(raw, observed_at)
+    except ParseError as exc:
+        excerpt = raw[:80] if isinstance(raw, str) else raw[:80].decode(
+            "utf-8", errors="replace")
+        raise type(exc)(f"{exc} [payload: {excerpt!r}]") from exc
+    raise ParseError(f"no parser for format {fmt.value}")
+
+
 class P2DAdapter:
     """Inbound adapter: wire payload to committed canonical measurements."""
 
@@ -85,31 +114,6 @@ class P2DAdapter:
         self.config = config
         self.storage = storage
         self.device_registry = device_registry or {}
-
-    def _parse(self, raw: str | bytes, device_id: str,
-               observed_at: datetime) -> list[Measurement]:
-        fmt = self.config.format
-        try:
-            if fmt is Source.ULTRALIGHT:
-                return parse_ultralight(
-                    raw, device_id, observed_at,
-                    attribute_map=self.config.attribute_map or None,
-                    entity_type=self.config.entity_type)
-            if fmt is Source.DITTO:
-                return parse_ditto_thing(raw, observed_at,
-                                         entity_type=self.config.entity_type)
-            if fmt is Source.DTDL:
-                if self.config.dtdl_model is None:
-                    raise ParseError("adapter has no DTDL model configured")
-                return parse_dtdl_telemetry(self.config.dtdl_model, raw,
-                                            observed_at)
-            if fmt is Source.NGSI_LD:
-                return parse_ngsi_ld(raw, observed_at)
-        except ParseError as exc:
-            excerpt = raw[:80] if isinstance(raw, str) else raw[:80].decode(
-                "utf-8", errors="replace")
-            raise type(exc)(f"{exc} [payload: {excerpt!r}]") from exc
-        raise ParseError(f"no parser for format {fmt.value}")
 
     def _passes_filter(self, entity_id: str) -> bool:
         if not self.config.device_filter:
@@ -123,7 +127,8 @@ class P2DAdapter:
     def ingest(self, raw: str | bytes, device_id: str,
                observed_at: datetime) -> IngestReceipt:
         """Parse, filter, clean, and commit one payload."""
-        measurements = self._parse(raw, device_id, observed_at)
+        measurements = parse_payload(self.config, raw, device_id,
+                                     observed_at)
         accepted = [m for m in measurements if self._passes_filter(m.entity_id)]
         rejected = len(measurements) - len(accepted)
         result = process(accepted)

@@ -29,9 +29,8 @@ from .shadows import ShadowManager
 from .simulation import (ModelSpec, SimScenario, execute, validate_scenario,
                          validate_spec)
 from .storage import Namespace, Query, SharedStorage
-from .wire import Source, parse_ditto_thing, parse_dtdl_telemetry, \
-    parse_ngsi_ld, parse_ultralight
-from .adapters import AdapterConfig, Direction, P2DAdapter
+from .wire import Source
+from .adapters import AdapterConfig, Direction, P2DAdapter, parse_payload
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,46 +106,41 @@ def cmd_report(args: argparse.Namespace) -> int:
 # parse / ingest
 # ---------------------------------------------------------------------------
 
-def _parse_payload(fmt: Source, payload: str, args: argparse.Namespace):
-    observed_at = parse_rfc3339(args.observed_at)
-    attribute_map = _parse_map(args.map) or None
-    if fmt is Source.ULTRALIGHT:
-        if not args.device:
-            raise ConfigError("ultralight payloads need --device")
-        return parse_ultralight(payload, device_id=args.device,
-                                observed_at=observed_at,
-                                attribute_map=attribute_map,
-                                entity_type=args.entity_type)
-    if fmt is Source.DITTO:
-        return parse_ditto_thing(payload, observed_at=observed_at,
-                                 entity_type=args.entity_type)
+def _adapter_config(args: argparse.Namespace) -> AdapterConfig:
+    """The inbound adapter configuration `parse` and `ingest` share; an
+    input the format needs but lacks is a configuration error."""
+    fmt = Source(args.format)
+    if fmt is Source.ULTRALIGHT and not args.device:
+        raise ConfigError("ultralight payloads need --device")
+    dtdl_model = None
     if fmt is Source.DTDL:
         if not args.model:
             raise ConfigError("dtdl telemetry needs --model interface.json")
-        model = Path(args.model).read_text(encoding="utf-8")
-        return parse_dtdl_telemetry(model, payload, observed_at=observed_at)
-    if fmt is Source.NGSI_LD:
-        return parse_ngsi_ld(payload, observed_at=observed_at)
-    raise ConfigError(f"unsupported input format {fmt.value!r}")
+        dtdl_model = read_json(Path(args.model), "DTDL model file")
+        if not isinstance(dtdl_model, dict):
+            raise ConfigError(f"{args.model}: not a DTDL model object")
+    return AdapterConfig(direction=Direction.P2D, format=fmt,
+                         attribute_map=_parse_map(args.map),
+                         entity_type=args.entity_type,
+                         dtdl_model=dtdl_model)
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    fmt = Source(args.format)
+    config = _adapter_config(args)
     payload = _read_input(args.file)
-    measurements = _parse_payload(fmt, payload, args)
+    measurements = parse_payload(config, payload, args.device,
+                                 parse_rfc3339(args.observed_at))
     json.dump([m.to_json() for m in measurements], sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
 
 
 def _ingest_lines(adapter: P2DAdapter, lines, device: str, out) -> None:
-    base = parse_rfc3339(os.environ.get("TWINARCH_EPOCH", "")) \
-        if os.environ.get("TWINARCH_EPOCH") else DEFAULT_EPOCH
     for index, line in enumerate(lines):
         line = line.rstrip("\n")
         if not line:
             continue
-        observed_at = base + timedelta(seconds=index)
+        observed_at = DEFAULT_EPOCH + timedelta(seconds=index)
         try:
             receipt = adapter.ingest(line, device, observed_at=observed_at)
         except ParseError as exc:
@@ -162,13 +156,7 @@ def _ingest_lines(adapter: P2DAdapter, lines, device: str, out) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    fmt = Source(args.format)
-    dtdl_model = (json.loads(Path(args.model).read_text(encoding="utf-8"))
-                  if args.model else None)
-    config = AdapterConfig(direction=Direction.P2D, format=fmt,
-                           attribute_map=_parse_map(args.map),
-                           entity_type=args.entity_type,
-                           dtdl_model=dtdl_model)
+    config = _adapter_config(args)
     storage = SharedStorage(journal_path=args.journal)
     adapter = P2DAdapter(config, storage)
     try:

@@ -168,10 +168,10 @@ class TwinManager:
         run = self.run_config
         settings = self.generator.settings
         inflow = 0.0
-        latest = self.monitor._shadow_latest(run.entity_id).get(
+        latest = self.shadow_manager.latest_points(run.entity_id).get(
             settings.input_metric)
-        if latest is not None and isinstance(latest[1], (int, float)):
-            inflow = float(latest[1])
+        if latest is not None and isinstance(latest.value, (int, float)):
+            inflow = float(latest.value)
         initial = self.generator.initial_state_for(run.entity_id)
         # one step ending exactly at this tick's timestamp, so fresh
         # telemetry at the same instant outranks it in fusion

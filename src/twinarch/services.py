@@ -185,11 +185,6 @@ class StateMonitor:
         self.shadow_manager = shadow_manager
         self._clock = clock
 
-    def _shadow_latest(self, entity_id: str) -> dict[str, tuple[datetime, Scalar]]:
-        return {attribute: (point.observed_at, point.value)
-                for attribute, point in
-                self.shadow_manager.latest_points(entity_id).items()}
-
     def _sim_latest(self, entity_id: str) -> dict[str, tuple[datetime, float]]:
         # the last result in read order: (observed_at, scenario id)
         record = self.storage.latest(Namespace.SIM_RESULTS, entity_id)
@@ -207,17 +202,17 @@ class StateMonitor:
 
     def get_state(self, entity_id: str) -> TwinState:
         """Fuse latest real and simulated values; commit the state."""
-        real = self._shadow_latest(entity_id)
+        real = self.shadow_manager.latest_points(entity_id)
         sim = self._sim_latest(entity_id)
         if not real and not sim:
             raise NotFound(f"no shadow or simulation data for {entity_id!r}")
         metrics: dict[str, Scalar] = {}
         used_real = used_sim = False
         for name in sorted(set(real) | set(sim)):
-            in_real, in_sim = real.get(name), sim.get(name)
-            if in_real is not None and (in_sim is None
-                                        or in_real[0] >= in_sim[0]):
-                metrics[name] = in_real[1]    # ties go to the shadow
+            point, in_sim = real.get(name), sim.get(name)
+            if point is not None and (in_sim is None
+                                      or point.observed_at >= in_sim[0]):
+                metrics[name] = point.value    # ties go to the shadow
                 used_real = True
             else:
                 metrics[name] = in_sim[1]
@@ -298,7 +293,9 @@ class Predictor:
             raise ValueError(f"unknown forecast method {self.config.method!r}")
 
     def _traces(self, entity_id: str) -> dict[str, list[tuple[datetime, float]]]:
-        traces: dict[str, list[tuple[datetime, float]]] = {}
+        """Each numeric attribute's readings in time order. Shadows that
+        share an attribute hold the same reading, so one per instant."""
+        traces: dict[str, dict[datetime, float]] = {}
         for shadow in self.shadow_manager.get_shadow(entity_id=entity_id):
             for point in shadow.trace:
                 if isinstance(point.value, bool) or not isinstance(
@@ -307,9 +304,10 @@ class Predictor:
                 if (self.config.attributes is not None
                         and point.attribute not in self.config.attributes):
                     continue
-                traces.setdefault(point.attribute, []).append(
-                    (point.observed_at, float(point.value)))
-        return traces
+                traces.setdefault(point.attribute, {})[
+                    point.observed_at] = float(point.value)
+        return {name: sorted(points.items())
+                for name, points in traces.items()}
 
     def prediction(self, entity_id: str, horizon: int) -> Prediction:
         """Forecast every attribute with enough history."""
@@ -329,13 +327,10 @@ class Predictor:
                          self.config.window, self.config.moving_average_k)
             for name, points in eligible.items()}
         # timeline continues the densest trace's spacing
-        anchor = max(eligible.values(), key=len)
-        last_t = max(t for t, _ in anchor)
-        if len(anchor) >= 2:
-            stamps = sorted(t for t, _ in anchor)
-            step = (stamps[-1] - stamps[-2]) or timedelta(seconds=1)
-        else:
-            step = timedelta(seconds=1)
+        stamps = [t for t, _ in max(eligible.values(), key=len)]
+        last_t = stamps[-1]
+        step = (last_t - stamps[-2] if len(stamps) >= 2
+                else timedelta(seconds=1))
         series = tuple(
             (last_t + step * (i + 1),
              {name: forecasts[name][i] for name in sorted(forecasts)})
@@ -355,58 +350,43 @@ class DeviationDetector:
     def __init__(self, bands: dict[str, Band]) -> None:
         self.bands = dict(bands)
 
-    def _check_metric(self, entity_id: str, metric: str, value: float,
-                      at: datetime, kind: DeviationKind) -> Deviation | None:
-        band = self.bands.get(metric)
-        if band is None:
-            raise MissingThreshold(f"no band configured for metric {metric!r}")
-        excess = band.distance(value)
-        if excess == 0.0:
-            return None
-        width = band.hi - band.lo
-        critical = excess > band.critical_multiplier * width
-        return Deviation(
-            entity_id=entity_id, metric=metric, value=value,
-            expected=band.hi if value > band.hi else band.lo,
-            severity=Severity.CRITICAL if critical else Severity.WARNING,
-            detected_at=at, kind=kind)
-
     def detect_deviation(self, subject: TwinState | Prediction,
                          ) -> list[Deviation]:
         """One deviation per out-of-band metric; [] when all is well.
 
-        For predictions, the first violating step of each metric is
-        reported. Numeric metrics without a configured band raise
-        MissingThreshold.
+        A state is one step and a prediction's series is its steps; the
+        first violating step of each metric is reported. Numeric
+        metrics without a configured band raise MissingThreshold.
         """
-        deviations = []
         if isinstance(subject, TwinState):
-            for metric in sorted(subject.metrics):
-                value = subject.metrics[metric]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+            steps = ((subject.computed_at, subject.metrics),)
+            kind = DeviationKind.REAL
+        else:
+            steps = subject.predicted_series
+            kind = DeviationKind.PREDICTED
+        first: dict[str, Deviation] = {}
+        for stamp, values in steps:
+            for metric in sorted(values):
+                value = values[metric]
+                if (metric in first or isinstance(value, bool)
+                        or not isinstance(value, (int, float))):
                     continue
-                hit = self._check_metric(subject.entity_id, metric,
-                                         float(value), subject.computed_at,
-                                         DeviationKind.REAL)
-                if hit is not None:
-                    deviations.append(hit)
-            return deviations
-        metrics = sorted({name for _, m in subject.predicted_series
-                          for name in m})
-        for metric in metrics:
-            if metric not in self.bands:
-                raise MissingThreshold(
-                    f"no band configured for metric {metric!r}")
-            for stamp, values in subject.predicted_series:
-                if metric not in values:
+                band = self.bands.get(metric)
+                if band is None:
+                    raise MissingThreshold(
+                        f"no band configured for metric {metric!r}")
+                value = float(value)
+                excess = band.distance(value)
+                if excess == 0.0:
                     continue
-                hit = self._check_metric(subject.entity_id, metric,
-                                         float(values[metric]), stamp,
-                                         DeviationKind.PREDICTED)
-                if hit is not None:
-                    deviations.append(hit)
-                    break
-        return deviations
+                width = band.hi - band.lo
+                critical = excess > band.critical_multiplier * width
+                first[metric] = Deviation(
+                    entity_id=subject.entity_id, metric=metric, value=value,
+                    expected=band.hi if value > band.hi else band.lo,
+                    severity=Severity.CRITICAL if critical else Severity.WARNING,
+                    detected_at=stamp, kind=kind)
+        return [first[metric] for metric in sorted(first)]
 
 
 # ---------------------------------------------------------------------------

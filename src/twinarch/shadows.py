@@ -3,10 +3,12 @@
 A shadow type names a set of attributes for one entity type; a shadow
 is the time-ordered trace of those attributes for one entity. Trace
 points live in the Shadows namespace of shared storage under the key
-name `<type>.<attribute>`. The manager itself holds only an index and
-the newest point of each shadow attribute, both rebuilt from storage
-by `rebuild_index`, so a journal replay reconstructs every trace
-bit-identically.
+name `<type>.<attribute>`. The manager itself holds one entry per
+shadow (its own type, entity, creation time and the newest point of
+each attribute), rebuilt from storage by `rebuild_index`, so a journal
+replay reconstructs every trace bit-identically. A measurement is
+offered only to its entity's shadows, and each one takes it when its
+own type covers it.
 
 Out-of-order telemetry is inserted at its timestamp position and
 flagged `late`; consumers that want "current" values read the newest
@@ -66,18 +68,27 @@ class Shadow:
     created_at: datetime | None = None
 
 
+@dataclass
+class _Entry:
+    """One registered shadow, held in memory: what it is and the newest
+    point of each attribute, the same point get_shadow would end the
+    attribute's series with."""
+    shadow_id: str
+    type: ShadowType
+    entity_id: str
+    created_at: datetime
+    latest: dict[str, TracePoint] = field(default_factory=dict)
+
+
 class ShadowManager:
     """Lifecycle and query surface over storage-backed shadow traces."""
 
     def __init__(self, storage: SharedStorage) -> None:
         self.storage = storage
-        # (type name, entity_id) -> shadow_id; at most one per pair
-        self._index: dict[tuple[str, str], str] = {}
-        self._types: dict[str, ShadowType] = {}
-        self._meta: dict[str, tuple[ShadowType, str, datetime]] = {}
-        # shadow_id -> attribute -> the newest point of its trace, the
-        # same point get_shadow would end the attribute's series with
-        self._latest: dict[str, dict[str, TracePoint]] = {}
+        self._shadows: dict[str, _Entry] = {}
+        # entity_id -> its shadows in registration order: the shadows a
+        # measurement of that entity is offered to
+        self._by_entity: dict[str, list[_Entry]] = {}
 
     def rebuild_index(self) -> int:
         """Re-attach to shadows already present in storage (e.g. after
@@ -92,102 +103,88 @@ class ShadowManager:
                 name=body["type"],
                 attribute_set=frozenset(body["attributes"]),
                 entity_type=body["entity_type"])
-            pair = (shadow_type.name, record.key.entity_id)
-            if pair in self._index:
-                continue
-            self._types.setdefault(shadow_type.name, shadow_type)
-            self._attach(shadow_type, record.key.entity_id,
-                         body["shadow_id"], record.key.observed_at)
-            count += 1
+            if self._attach(shadow_type, record.key.entity_id,
+                            record.key.observed_at) is not None:
+                count += 1
         return count
 
     def _attach(self, shadow_type: ShadowType, entity_id: str,
-                shadow_id: str, created_at: datetime) -> None:
-        """Index a shadow and take its newest points from the points
-        already in storage (none for a new shadow)."""
-        self._index[(shadow_type.name, entity_id)] = shadow_id
-        self._meta[shadow_id] = (shadow_type, entity_id, created_at)
-        latest = self._latest[shadow_id] = {}
-        prefix = f"{shadow_type.name}."
-        # read order is (observed_at, name): the last point read wins
-        for record in self.storage.crud_read(Query(
-                namespace=Namespace.SHADOWS, entity_id=entity_id)):
-            name = record.key.name
-            attribute = name[len(prefix):]
-            if name.startswith(prefix) and attribute != "__descriptor__":
-                latest[attribute] = _trace_point(record, attribute)
+                created_at: datetime) -> _Entry | None:
+        """Register a shadow and take its newest points from the points
+        already in storage (none for a new shadow); None, registering
+        nothing, when its id is taken."""
+        shadow_id = f"{shadow_type.name}:{entity_id}"
+        if shadow_id in self._shadows:
+            return None
+        entry = self._shadows[shadow_id] = _Entry(
+            shadow_id, shadow_type, entity_id, created_at)
+        self._by_entity.setdefault(entity_id, []).append(entry)
+        # the trace is in time order: the last point of each attribute wins
+        for point in self._materialize(entry, None, None).trace:
+            entry.latest[point.attribute] = point
+        return entry
 
     # -- lifecycle ------------------------------------------------------------
 
     def create_shadow(self, shadow_type: ShadowType, entity_id: str,
                       created_at: datetime) -> str:
         """Register a shadow and backfill its trace from measurements."""
-        self._types[shadow_type.name] = shadow_type
-        pair = (shadow_type.name, entity_id)
-        if pair in self._index:
+        entry = self._attach(shadow_type, entity_id, created_at)
+        if entry is None:
             raise DuplicateShadow(
-                f"shadow for {pair} already exists: {self._index[pair]}")
-        shadow_id = f"{shadow_type.name}:{entity_id}"
-        self._attach(shadow_type, entity_id, shadow_id, created_at)
+                f"shadow {shadow_type.name}:{entity_id} already exists")
         descriptor = RecordKey(
             namespace=Namespace.SHADOWS, entity_id=entity_id,
             name=f"{shadow_type.name}.__descriptor__",
             observed_at=created_at)
         self.storage.upsert(descriptor, {
-            "shadow_id": shadow_id, "type": shadow_type.name,
+            "shadow_id": entry.shadow_id, "type": shadow_type.name,
             "entity_type": shadow_type.entity_type,
             "attributes": sorted(shadow_type.attribute_set)})
-        self._backfill(shadow_type, entity_id)
-        return shadow_id
+        self._backfill(entry)
+        return entry.shadow_id
 
-    def _backfill(self, shadow_type: ShadowType, entity_id: str) -> None:
+    def _backfill(self, entry: _Entry) -> None:
         prior = self.storage.crud_read(Query(
-            namespace=Namespace.MEASUREMENTS, entity_id=entity_id))
+            namespace=Namespace.MEASUREMENTS, entity_id=entry.entity_id))
         for record in prior:
             body = record.body
             if not isinstance(body, dict):
                 continue
-            if body.get("entity_type") != shadow_type.entity_type:
+            if body.get("entity_type") != entry.type.entity_type:
                 continue
-            if record.key.name not in shadow_type.attribute_set:
+            if record.key.name not in entry.type.attribute_set:
                 continue
-            self._put_point(shadow_type, entity_id, record.key.name,
-                            record.key.observed_at, body.get("value"),
-                            late=False)
+            self._put_point(entry, record.key.name, record.key.observed_at,
+                            body.get("value"), late=False)
 
     # -- updates ---------------------------------------------------------------
 
-    def _put_point(self, shadow_type: ShadowType, entity_id: str,
-                   attribute: str, observed_at: datetime, value: object,
-                   late: bool) -> None:
-        shadow_id = f"{shadow_type.name}:{entity_id}"
-        key = RecordKey(namespace=Namespace.SHADOWS, entity_id=entity_id,
-                        name=f"{shadow_type.name}.{attribute}",
+    def _put_point(self, entry: _Entry, attribute: str,
+                   observed_at: datetime, value: object, late: bool) -> None:
+        key = RecordKey(namespace=Namespace.SHADOWS, entity_id=entry.entity_id,
+                        name=f"{entry.type.name}.{attribute}",
                         observed_at=observed_at)
         self.storage.upsert(key, {"value": value, "late": late,
-                                  "shadow_id": shadow_id})
-        latest = self._latest[shadow_id]
-        current = latest.get(attribute)
+                                  "shadow_id": entry.shadow_id})
+        current = entry.latest.get(attribute)
         if current is None or observed_at >= current.observed_at:
-            latest[attribute] = TracePoint(observed_at, attribute, value,
-                                           late)
+            entry.latest[attribute] = TracePoint(observed_at, attribute,
+                                                 value, late)
 
     def update_from_measurement(self, m: Measurement) -> list[str]:
-        """Append a trace point to every shadow covering the measurement."""
+        """Append a trace point to every shadow of the measurement's
+        entity whose own type covers it."""
         updated = []
-        for (type_name, entity_id), shadow_id in self._index.items():
-            if entity_id != m.entity_id:
+        for entry in self._by_entity.get(m.entity_id, ()):
+            if not entry.type.covers(m):
                 continue
-            shadow_type = self._types[type_name]
-            if not shadow_type.covers(m):
-                continue
-            newest = max((p.observed_at
-                          for p in self._latest[shadow_id].values()),
+            newest = max((p.observed_at for p in entry.latest.values()),
                          default=None)
             late = newest is not None and m.observed_at < newest
-            self._put_point(shadow_type, entity_id, m.attribute,
-                            m.observed_at, m.value, late=late)
-            updated.append(shadow_id)
+            self._put_point(entry, m.attribute, m.observed_at, m.value,
+                            late=late)
+            updated.append(entry.shadow_id)
         return updated
 
     # -- queries -----------------------------------------------------------------
@@ -201,16 +198,14 @@ class ShadowManager:
         if time_from is not None and time_to is not None and time_from >= time_to:
             raise InvalidQuery(f"empty range: {time_from} >= {time_to}")
         hits = []
-        for shadow_id, (shadow_type, owner, created_at) in sorted(
-                self._meta.items()):
-            if type_name is not None and shadow_type.name != type_name:
+        for shadow_id, entry in sorted(self._shadows.items()):
+            if type_name is not None and entry.type.name != type_name:
                 continue
-            if entity_id is not None and owner != entity_id:
+            if entity_id is not None and entry.entity_id != entity_id:
                 continue
             if name is not None and shadow_id != name:
                 continue
-            hits.append(self._materialize(shadow_type, owner, created_at,
-                                          time_from, time_to))
+            hits.append(self._materialize(entry, time_from, time_to))
         return hits
 
     def latest_points(self, entity_id: str) -> dict[str, TracePoint]:
@@ -218,23 +213,20 @@ class ShadowManager:
         from memory: no trace is read. When two shadows hold an
         attribute at the same instant, the later shadow id wins."""
         latest: dict[str, TracePoint] = {}
-        for shadow_id, (_, owner, _) in sorted(self._meta.items()):
-            if owner != entity_id:
-                continue
-            for attribute, point in self._latest[shadow_id].items():
+        for entry in sorted(self._by_entity.get(entity_id, ()),
+                            key=lambda e: e.shadow_id):
+            for attribute, point in entry.latest.items():
                 current = latest.get(attribute)
                 if (current is None
                         or point.observed_at >= current.observed_at):
                     latest[attribute] = point
         return latest
 
-    def _materialize(self, shadow_type: ShadowType, entity_id: str,
-                     created_at: datetime,
-                     time_from: datetime | None,
+    def _materialize(self, entry: _Entry, time_from: datetime | None,
                      time_to: datetime | None) -> Shadow:
-        prefix = f"{shadow_type.name}."
+        prefix = f"{entry.type.name}."
         records = self.storage.crud_read(Query(
-            namespace=Namespace.SHADOWS, entity_id=entity_id,
+            namespace=Namespace.SHADOWS, entity_id=entry.entity_id,
             time_from=time_from, time_to=time_to))
         points = []
         for record in records:
@@ -246,6 +238,6 @@ class ShadowManager:
                 continue
             points.append(_trace_point(record, attribute))
         points.sort(key=lambda p: (p.observed_at, p.attribute))
-        return Shadow(shadow_id=f"{shadow_type.name}:{entity_id}",
-                      type=shadow_type, entity_id=entity_id,
-                      trace=points, created_at=created_at)
+        return Shadow(shadow_id=entry.shadow_id, type=entry.type,
+                      entity_id=entry.entity_id, trace=points,
+                      created_at=entry.created_at)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+from datetime import timedelta
 
 import pytest
 
 from twinarch.cli import main
+from twinarch.clock import DEFAULT_EPOCH
+from twinarch.storage import Namespace, Query, SharedStorage
 
 
 # -- catalog / report --------------------------------------------------------------
@@ -112,6 +115,60 @@ def test_ingest_reports_bad_lines_without_dying(tmp_path, monkeypatch, capsys):
              for line in capsys.readouterr().out.splitlines() if line]
     assert lines[0]["error"] == "MalformedPayload"
     assert lines[1]["stored"] == 1
+
+
+def test_ingest_stamps_lines_from_the_default_epoch(tmp_path, monkeypatch):
+    monkeypatch.setenv("TWINARCH_EPOCH", "garbage")
+    journal = tmp_path / "journal.jsonl"
+    monkeypatch.setattr("sys.stdin", io.StringIO("f|20\nf|25\n"))
+    assert main(["ingest", "--format", "ultralight", "--device", "TLF01",
+                 "--journal", str(journal)]) == 0
+    records = SharedStorage.replay(journal).crud_read(
+        Query(namespace=Namespace.MEASUREMENTS))
+    assert [r.key.observed_at for r in records] == [
+        DEFAULT_EPOCH, DEFAULT_EPOCH + timedelta(seconds=1)]
+
+
+def test_parse_and_ingest_dtdl_with_the_fixture_model(repo_root, monkeypatch,
+                                                      capsys):
+    fixtures = repo_root / "fixtures"
+    model = str(fixtures / "dtdl_interface.json")
+    telemetry = fixtures / "dtdl_telemetry.json"
+    assert main(["parse", "--format", "dtdl", "--model", model,
+                 str(telemetry)]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    assert [(d["attribute"], d["value"]) for d in docs] == [
+        ("vehicleCount", 35)]
+    line = json.dumps(json.loads(telemetry.read_text(encoding="utf-8")))
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    assert main(["ingest", "--format", "dtdl", "--device", "d1",
+                 "--model", model]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "decoded": 1, "stored": 1, "rejected": 0, "dropped": 0}
+
+
+@pytest.mark.parametrize("command, model", [
+    ("parse", "absent"), ("parse", "{not json"), ("parse", "[]"),
+    ("ingest", "absent"), ("ingest", "{not json"), ("ingest", "[]"),
+    ("ingest", None)])
+def test_dtdl_model_problems_are_config_errors(tmp_path, monkeypatch, capsys,
+                                               command, model):
+    telemetry = '{"vehicleCount": 35}'
+    payload = tmp_path / "telemetry.json"
+    payload.write_text(telemetry, encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(telemetry + "\n"))
+    argv = [command, "--format", "dtdl", "--device", "d1"]
+    if model is not None:
+        path = tmp_path / "model.json"
+        if model != "absent":
+            path.write_text(model, encoding="utf-8")
+        argv += ["--model", str(path)]
+    journal = tmp_path / "journal.jsonl"
+    argv += [str(payload)] if command == "parse" else ["--journal",
+                                                        str(journal)]
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not journal.exists()
 
 
 def test_store_dump_rejects_unknown_namespace(tmp_path, capsys):

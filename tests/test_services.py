@@ -167,6 +167,26 @@ def test_window_limits_the_fit_to_the_tail():
                                                                  abs=1e-9)
 
 
+def test_shadows_sharing_an_attribute_count_each_reading_once():
+    def predictor_over_two_shadows(values, **cfg):
+        _, shadows, _ = road_stack()
+        flow = ShadowType("flow", frozenset({"vehicleFlow"}), "Road")
+        shadows.create_shadow(flow, "TLF01", created_at=ts(0))
+        for t, v in enumerate(values):
+            assert len(shadows.update_from_measurement(
+                Measurement("TLF01", "Road", "vehicleFlow", v, ts(t)))) == 2
+        return Predictor(shadows, PredictorConfig(**cfg))
+
+    prediction = predictor_over_two_shadows(
+        [10.0 * (t + 1) for t in range(12)], window=20).prediction("TLF01", 3)
+    assert prediction.series_for("vehicleFlow") == pytest.approx(
+        [130.0, 140.0, 150.0], abs=1e-9)
+    assert [t for t, _ in prediction.predicted_series] == [
+        ts(12), ts(13), ts(14)]
+    with pytest.raises(InsufficientHistory):
+        predictor_over_two_shadows([1.0, 2.0]).prediction("TLF01", 1)
+
+
 def test_other_forecast_methods():
     last = predictor_over([1.0, 2.0, 5.0], method="last-value").prediction(
         "TLF01", 3)

@@ -180,3 +180,132 @@ def test_latest_points_match_the_newest_point_of_each_trace(arrivals):
             if current is None or point.observed_at >= current.observed_at:
                 expected[point.attribute] = point
     assert mgr.latest_points("e1") == expected
+
+
+FLOW_ONLY = ShadowType(name="traffic", attribute_set=frozenset({"flow"}),
+                       entity_type="Sensor")
+SPEED_ONLY = ShadowType(name="traffic", attribute_set=frozenset({"speed"}),
+                        entity_type="Sensor")
+
+
+@pytest.mark.parametrize("replayed", [False, True], ids=["live", "replayed"])
+def test_shadows_sharing_a_type_name_take_only_their_own_attributes(
+        tmp_path, replayed):
+    journal = tmp_path / "journal.jsonl"
+    storage = SharedStorage(journal_path=journal, clock=lambda: ts(0))
+    mgr = ShadowManager(storage)
+    mgr.create_shadow(FLOW_ONLY, "e1", created_at=ts(0))
+    mgr.create_shadow(SPEED_ONLY, "e2", created_at=ts(0))
+    storage.close()
+    if replayed:
+        mgr = ShadowManager(SharedStorage.replay(journal))
+        assert mgr.rebuild_index() == 2
+    updated = {(entity, attr): mgr.update_from_measurement(
+                   measurement(attr, 1, t=1, entity=entity))
+               for entity in ("e1", "e2") for attr in ("flow", "speed")}
+    assert updated == {("e1", "flow"): ["traffic:e1"], ("e1", "speed"): [],
+                       ("e2", "flow"): [], ("e2", "speed"): ["traffic:e2"]}
+    assert {s.shadow_id: (s.type, [p.attribute for p in s.trace])
+            for s in mgr.get_shadow()} == {
+        "traffic:e1": (FLOW_ONLY, ["flow"]),
+        "traffic:e2": (SPEED_ONLY, ["speed"])}
+    assert set(mgr.latest_points("e1")) == {"flow"}
+    assert set(mgr.latest_points("e2")) == {"speed"}
+
+
+class _ShadowModel:
+    """Dict model of a shadow manager: each shadow takes a measurement
+    of its own entity when its own type covers it."""
+
+    def __init__(self) -> None:
+        # shadow id -> (its type, its entity)
+        self.types: dict[str, tuple[ShadowType, str]] = {}
+        self.points: dict[str, dict[tuple, tuple]] = {}
+
+    def create(self, shadow_type: ShadowType, entity: str) -> bool:
+        shadow_id = f"{shadow_type.name}:{entity}"
+        if shadow_id in self.types:
+            return False
+        self.types[shadow_id] = (shadow_type, entity)
+        self.points[shadow_id] = {}
+        return True
+
+    def update(self, m: Measurement) -> list[str]:
+        updated = []
+        for shadow_id, (shadow_type, entity) in self.types.items():
+            if entity != m.entity_id or not shadow_type.covers(m):
+                continue
+            points = self.points[shadow_id]
+            newest = max((t for t, _ in points), default=None)
+            late = newest is not None and m.observed_at < newest
+            points[(m.observed_at, m.attribute)] = (m.value, late)
+            updated.append(shadow_id)
+        return updated
+
+    def trace(self, shadow_id: str) -> list[TracePoint]:
+        return [TracePoint(t, attr, value, late) for (t, attr), (value, late)
+                in sorted(self.points[shadow_id].items())]
+
+    def latest_points(self, entity: str) -> dict[str, TracePoint]:
+        latest: dict[str, TracePoint] = {}
+        for shadow_id in sorted(self.types):
+            if self.types[shadow_id][1] != entity:
+                continue
+            for point in self.trace(shadow_id):
+                current = latest.get(point.attribute)
+                if current is None or point.observed_at >= current.observed_at:
+                    latest[point.attribute] = point
+        return latest
+
+
+_ENTITIES = ["e1", "e2"]
+_registrations = st.lists(
+    st.builds(lambda name, entity, attrs, etype: (
+                  ShadowType(name, frozenset(attrs), etype), entity),
+              st.sampled_from(["a", "b"]), st.sampled_from(_ENTITIES),
+              st.sets(st.sampled_from(["x", "y", "z"]), min_size=1),
+              st.sampled_from(["Sensor", "Robot"])),
+    min_size=1, max_size=6)
+_measurements = st.lists(
+    st.builds(lambda entity, etype, attr, t, value: Measurement(
+                  entity, etype, attr, value, ts(t)),
+              st.sampled_from(_ENTITIES), st.sampled_from(["Sensor", "Robot"]),
+              st.sampled_from(["x", "y", "z"]), st.integers(0, 10),
+              st.integers(-50, 50)),
+    max_size=30)
+
+
+@given(registrations=_registrations, before=_measurements,
+       after=_measurements)
+def test_live_and_replayed_managers_match_a_dict_model(registrations, before,
+                                                       after):
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "journal.jsonl"
+        storage = SharedStorage(journal_path=journal, clock=lambda: ts(0))
+        live, model = ShadowManager(storage), _ShadowModel()
+        # one creation instant each, so replay re-registers in this order
+        for index, (shadow_type, entity) in enumerate(registrations):
+            if model.create(shadow_type, entity):
+                live.create_shadow(shadow_type, entity, created_at=ts(index))
+            else:
+                with pytest.raises(DuplicateShadow):
+                    live.create_shadow(shadow_type, entity,
+                                       created_at=ts(index))
+        for m in before:
+            assert live.update_from_measurement(m) == model.update(m)
+        storage.close()
+
+        replayed = ShadowManager(SharedStorage.replay(journal))
+        assert replayed.rebuild_index() == len(model.types)
+        for m in after:
+            expected = model.update(m)
+            assert live.update_from_measurement(m) == expected
+            assert replayed.update_from_measurement(m) == expected
+        expected_shadows = [(shadow_id, model.types[shadow_id][0],
+                             model.trace(shadow_id))
+                            for shadow_id in sorted(model.types)]
+        for mgr in (live, replayed):
+            assert [(s.shadow_id, s.type, s.trace)
+                    for s in mgr.get_shadow()] == expected_shadows
+            for entity in _ENTITIES:
+                assert mgr.latest_points(entity) == model.latest_points(entity)
