@@ -39,7 +39,7 @@ class Direction(Enum):
 @dataclass(frozen=True)
 class AdapterConfig:
     direction: Direction
-    format: Source
+    format: Source = Source.ULTRALIGHT
     # exact-match conditions on device registry metadata; empty = pass all
     device_filter: dict[str, str] = field(default_factory=dict)
     attribute_map: dict[str, str] = field(default_factory=dict)

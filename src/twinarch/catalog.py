@@ -119,6 +119,13 @@ class IsoMappingRow:
             return IsoSupport.PARTIAL
         return IsoSupport.NONE
 
+    def to_json(self) -> dict:
+        return {"functional_entity": self.functional_entity,
+                "iso_domain": self.iso_domain,
+                "mtv_elements": list(self.mtv_elements),
+                "ctv_elements": list(self.ctv_elements),
+                "support": self.support.value}
+
 
 @dataclass(frozen=True)
 class ConformanceReport:
@@ -521,13 +528,7 @@ def iso_report(fmt: str = "text") -> str:
     """Deterministic ISO 23247 functional entity mapping report."""
     cat = load_catalog()
     if fmt == "json":
-        rows = [
-            {"functional_entity": r.functional_entity,
-             "iso_domain": r.iso_domain,
-             "mtv_elements": list(r.mtv_elements),
-             "ctv_elements": list(r.ctv_elements),
-             "support": r.support.value}
-            for r in cat.iso_rows]
+        rows = [r.to_json() for r in cat.iso_rows]
         return json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
     lines = ["ISO 23247 functional entity mapping", ""]
     for row in cat.iso_rows:
@@ -559,12 +560,6 @@ def catalog_to_json() -> str:
             for c, e in sorted(cat.matrix.cells,
                                key=lambda ce: (int(ce[0].rsplit("_", 1)[1]),
                                                int(ce[1].rsplit("_", 1)[1])))],
-        "iso": [
-            {"functional_entity": r.functional_entity,
-             "iso_domain": r.iso_domain,
-             "mtv_elements": list(r.mtv_elements),
-             "ctv_elements": list(r.ctv_elements),
-             "support": r.support.value}
-            for r in cat.iso_rows],
+        "iso": [r.to_json() for r in cat.iso_rows],
     }
     return json.dumps(doc, indent=2) + "\n"

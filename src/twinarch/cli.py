@@ -21,10 +21,11 @@ from pathlib import Path
 from .catalog import (catalog_to_json, check_traceability, iso_report,
                       load_catalog, traceability_report)
 from .clock import DEFAULT_EPOCH, format_rfc3339, parse_rfc3339
-from .configs import load_manifest, parse_bands, read_json
+from .configs import dtdl_interface, load_manifest, parse_bands, read_json
 from .errors import ConfigError, InvalidSpec, ParseError, TwinArchError
 from .orchestrator import run_loop
-from .services import PredictorConfig, Predictor, DeviationDetector
+from .services import (FORECAST_METHODS, PredictorConfig, Predictor,
+                       DeviationDetector)
 from .shadows import ShadowManager
 from .simulation import (ModelSpec, SimScenario, execute, validate_scenario,
                          validate_spec)
@@ -44,6 +45,11 @@ def _setup_logging() -> None:
     level = os.environ.get("TWINARCH_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
+
+
+def _print_json(doc: object) -> None:
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _read_input(path: str | None) -> str:
@@ -78,9 +84,6 @@ def _parse_map(pairs: list[str]) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    if args.iso_report:
-        sys.stdout.write(iso_report("text"))
-        return EXIT_OK
     catalog = load_catalog()
     if args.check:
         report = check_traceability(catalog.matrix, catalog.components)
@@ -116,9 +119,8 @@ def _adapter_config(args: argparse.Namespace) -> AdapterConfig:
     if fmt is Source.DTDL:
         if not args.model:
             raise ConfigError("dtdl telemetry needs --model interface.json")
-        dtdl_model = read_json(Path(args.model), "DTDL model file")
-        if not isinstance(dtdl_model, dict):
-            raise ConfigError(f"{args.model}: not a DTDL model object")
+        dtdl_model = dtdl_interface(
+            read_json(Path(args.model), "DTDL model file"), args.model)
     return AdapterConfig(direction=Direction.P2D, format=fmt,
                          attribute_map=_parse_map(args.map),
                          entity_type=args.entity_type,
@@ -130,8 +132,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     payload = _read_input(args.file)
     measurements = parse_payload(config, payload, args.device,
                                  parse_rfc3339(args.observed_at))
-    json.dump([m.to_json() for m in measurements], sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json([m.to_json() for m in measurements])
     return EXIT_OK
 
 
@@ -157,10 +158,13 @@ def _ingest_lines(adapter: P2DAdapter, lines, device: str, out) -> None:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     config = _adapter_config(args)
+    listen = Path(args.listen) if args.listen else None
+    if listen is not None and listen.exists() and not listen.is_socket():
+        raise ConfigError(f"--listen {listen}: exists and is not a socket")
     storage = SharedStorage(journal_path=args.journal)
     adapter = P2DAdapter(config, storage)
     try:
-        if args.listen:
+        if listen is not None:
             _serve_socket(adapter, args)
         else:
             _ingest_lines(adapter, sys.stdin, args.device, sys.stdout)
@@ -174,10 +178,10 @@ def _serve_socket(adapter: P2DAdapter, args: argparse.Namespace) -> None:
 
     Serves one connection at a time; exits after --connections clients
     (default 1) have disconnected, so harness drivers can run it as a
-    bounded subprocess.
+    bounded subprocess. A stale socket at the path is replaced.
     """
     path = Path(args.listen)
-    if path.exists():
+    if path.is_socket():
         path.unlink()
     server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
@@ -210,6 +214,12 @@ def _replayed(journal: str) -> SharedStorage:
     return SharedStorage.replay(journal)
 
 
+def _replayed_shadows(journal: str) -> ShadowManager:
+    manager = ShadowManager(_replayed(journal))
+    manager.rebuild_index()
+    return manager
+
+
 def cmd_store_dump(args: argparse.Namespace) -> int:
     storage = _replayed(args.journal)
     try:
@@ -224,9 +234,7 @@ def cmd_store_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_shadow_get(args: argparse.Namespace) -> int:
-    storage = _replayed(args.journal)
-    manager = ShadowManager(storage)
-    manager.rebuild_index()
+    manager = _replayed_shadows(args.journal)
     time_from = parse_rfc3339(args.time_from) if args.time_from else None
     time_to = parse_rfc3339(args.time_to) if args.time_to else None
     shadows = manager.get_shadow(type_name=args.type, entity_id=args.entity,
@@ -240,17 +248,13 @@ def cmd_shadow_get(args: argparse.Namespace) -> int:
                    "attribute": p.attribute, "value": p.value,
                    "late": p.late} for p in s.trace],
     } for s in shadows]
-    json.dump(docs, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(docs)
     return EXIT_OK
 
 
 def cmd_service_predict(args: argparse.Namespace) -> int:
-    storage = _replayed(args.journal)
-    manager = ShadowManager(storage)
-    manager.rebuild_index()
     config = PredictorConfig(method=args.method, window=args.window)
-    predictor = Predictor(manager, config)
+    predictor = Predictor(_replayed_shadows(args.journal), config)
     prediction = predictor.prediction(args.entity, args.horizon)
     doc: dict = {
         "entity_id": prediction.entity_id,
@@ -267,8 +271,7 @@ def cmd_service_predict(args: argparse.Namespace) -> int:
             "severity": d.severity.value, "kind": d.kind.value,
             "detected_at": format_rfc3339(d.detected_at),
         } for d in detector.detect_deviation(prediction)]
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(doc)
     return EXIT_OK
 
 
@@ -295,13 +298,12 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
     completed_at = scenario.base_time or DEFAULT_EPOCH
     result = execute(spec, scenario, completed_at=completed_at)
-    json.dump({
+    _print_json({
         "scenario_id": result.scenario_id,
         "series": [dict(state) for state in result.state_series],
         "objective": result.objective,
         "completed_at": format_rfc3339(result.completed_at),
-    }, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    })
     return EXIT_OK
 
 
@@ -322,9 +324,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                                check=args.check)
     try:
         output.tracer.write_jsonl(out_dir / "trace.jsonl")
-        states = {entity: {"metrics": state.metrics,
-                           "provenance": state.provenance.value,
-                           "computed_at": format_rfc3339(state.computed_at)}
+        states = {entity: state.to_json()
                   for entity, state in output.states.items()}
         (out_dir / "states.json").write_text(
             json.dumps(states, indent=2, sort_keys=True) + "\n",
@@ -377,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="export or check the catalog")
     p.add_argument("--check", action="store_true",
                    help="verify traceability; exit 3 on failure")
-    p.add_argument("--iso-report", action="store_true",
-                   help="print the functional entity mapping")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("report", help="emit a catalog report")
@@ -386,29 +384,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("parse", help="parse one payload to canonical JSON")
-    p.add_argument("--format", required=True,
-                   choices=["ultralight", "ditto", "dtdl", "ngsi-ld"])
+    # the inbound adapter flags that parse and ingest share
+    adapter = argparse.ArgumentParser(add_help=False)
+    adapter.add_argument("--format", required=True,
+                         choices=[s.value for s in Source
+                                  if s is not Source.INTERNAL])
+    adapter.add_argument("--entity-type", default=AdapterConfig.entity_type)
+    adapter.add_argument("--map", action="append", default=[],
+                         metavar="SHORT=ATTRIBUTE",
+                         help="attribute rename, repeatable")
+    adapter.add_argument("--model", help="DTDL interface file (dtdl only)")
+
+    p = sub.add_parser("parse", parents=[adapter],
+                       help="parse one payload to canonical JSON")
     p.add_argument("--device", help="device id for formats without one")
-    p.add_argument("--entity-type", default="Device")
     p.add_argument("--observed-at", default=format_rfc3339(DEFAULT_EPOCH),
                    help="timestamp for formats without one (RFC 3339)")
-    p.add_argument("--map", action="append", default=[],
-                   metavar="SHORT=ATTRIBUTE",
-                   help="attribute rename, repeatable")
-    p.add_argument("--model", help="DTDL interface file (dtdl only)")
     p.add_argument("file", nargs="?", help="payload file; default stdin")
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("ingest",
+    p = sub.add_parser("ingest", parents=[adapter],
                        help="ingest line-delimited payloads into a journal")
-    p.add_argument("--format", required=True,
-                   choices=["ultralight", "ditto", "dtdl", "ngsi-ld"])
     p.add_argument("--device", required=True)
-    p.add_argument("--entity-type", default="Device")
-    p.add_argument("--map", action="append", default=[],
-                   metavar="SHORT=ATTRIBUTE")
-    p.add_argument("--model", help="DTDL interface file (dtdl only)")
     p.add_argument("--journal", help="journal file to append to")
     p.add_argument("--listen", metavar="SOCKET",
                    help="serve a local stream socket instead of stdin")
@@ -447,9 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--journal", required=True)
     f.add_argument("--entity", required=True)
     f.add_argument("--horizon", type=_positive_int, required=True)
-    f.add_argument("--method", default="linear",
-                   choices=["linear", "last-value", "moving-average"])
-    f.add_argument("--window", type=_positive_int, default=10)
+    f.add_argument("--method", default=PredictorConfig.method,
+                   choices=list(FORECAST_METHODS))
+    f.add_argument("--window", type=_positive_int,
+                   default=PredictorConfig.window)
     f.add_argument("--thresholds", help="bands JSON to also detect deviations")
     f.set_defaults(func=cmd_service_predict)
 

@@ -4,7 +4,8 @@ A manifest bundles everything one run needs: the harness, the run
 wiring, deviation thresholds, and the candidate catalog. Each section
 can be inline JSON or a path string, resolved relative to the manifest
 file. Validation is strict and happens before any run starts; every
-problem raises ConfigError with the offending path.
+problem, a key that nothing reads included, raises ConfigError with
+the offending path. Defaults live in the dataclasses built here.
 
     {"harness": {...} | "harness.json",
      "run": {...} | "run.json",
@@ -18,9 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .adapters import AdapterConfig, Direction
-from .errors import ConfigError
+from .errors import ConfigError, SchemaViolation
 from .harness import Fault, FaultKind, HarnessConfig
 from .services import (FORECAST_METHODS, Band, CandidateSolution, Action,
                        FeedbackConfig, PredictorConfig, SimulationSettings)
@@ -28,32 +30,58 @@ from .shadows import ShadowType
 from .simulation import ModelSpec
 from .tracing import SequenceTemplate
 from .wire.common import Source
+from .wire.dtdl import parse_model
 
 
-def _require(doc: dict, key: str, kind: type, where: str) -> object:
-    if key not in doc:
-        raise ConfigError(f"{where}: missing {key!r}")
-    value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or (kind is not bool
-                                       and isinstance(value, bool)):
-        raise ConfigError(
-            f"{where}: {key!r} must be {kind.__name__}, "
-            f"got {type(value).__name__}")
-    return value
+def _fields(doc: object, where: str,
+            converters: dict[str, Callable[[object], object]],
+            required: tuple[str, ...] = ()) -> dict:
+    """The keys of one manifest object that are present, each through
+    its converter; the dataclass built from them supplies every
+    default. A key with no converter, a missing required key, or a
+    value its converter refuses is a ConfigError naming it."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: must be an object")
+    unknown = sorted(set(doc) - set(converters))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{where}: missing {key!r}")
+    fields = {}
+    for key, value in doc.items():
+        try:
+            fields[key] = converters[key](value)
+        except KeyError as exc:
+            raise ConfigError(f"{where}.{key}: missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.{key}: {exc}") from exc
+    return fields
 
 
-def _convert(doc: dict, key: str, kind: type, default: object,
-             where: str) -> object:
-    """`kind(doc.get(key, default))`; a value that does not convert is
-    a ConfigError naming the field."""
-    value = doc.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"{where}.{key}: not a {kind.__name__}: {value!r}") from exc
+def _json_type(kind: type, name: str) -> Callable[[object], object]:
+    """A converter that passes a JSON value of one type through."""
+    def check(value: object) -> object:
+        if not isinstance(value, kind):
+            raise TypeError(f"must be {name}, got {type(value).__name__}")
+        return value
+    return check
+
+
+_text = _json_type(str, "a string")
+_object = _json_type(dict, "an object")
+_list = _json_type(list, "a list")
+
+
+def _texts(value: object) -> tuple[str, ...]:
+    return tuple(_text(item) for item in _list(value))
+
+
+def _items(value: object, where: str,
+           parse: Callable[[object, str], object]) -> tuple:
+    """`parse(item, path)` for each item of a manifest list."""
+    return tuple(parse(item, f"{where}[{index}]")
+                 for index, item in enumerate(_list(value)))
 
 
 def read_json(path: Path, what: str) -> object:
@@ -66,34 +94,30 @@ def read_json(path: Path, what: str) -> object:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _load_section(manifest: dict, key: str, base: Path,
-                  required: bool) -> dict | None:
-    section = manifest.get(key)
-    if section is None:
-        if required:
-            raise ConfigError(f"manifest: missing section {key!r}")
-        return None
-    if isinstance(section, str):
-        section = read_json(base / section, f"manifest: {key} file")
-    if not isinstance(section, dict):
-        raise ConfigError(f"manifest: section {key!r} must be an object")
-    return section
-
-
 @dataclass(frozen=True)
 class RunConfig:
     entity_id: str
-    tick_interval: float
-    max_ticks: int
-    horizon: int
     model: ModelSpec
     sim: SimulationSettings
-    predictor: PredictorConfig
     shadow_types: tuple[ShadowType, ...]
-    adapter: AdapterConfig
-    device_registry: dict[str, dict]
-    feedback: FeedbackConfig
+    predictor: PredictorConfig = PredictorConfig()
+    adapter: AdapterConfig = AdapterConfig(Direction.P2D)
+    feedback: FeedbackConfig = FeedbackConfig()
+    tick_interval: float = 1.0
+    max_ticks: int = 10
+    horizon: int = 5
+    device_registry: dict[str, dict] = field(default_factory=dict)
     check_template: SequenceTemplate | None = None
+
+    def __post_init__(self) -> None:
+        if not self.shadow_types:
+            raise ValueError("at least one shadow type is required")
+        if self.tick_interval <= 0:
+            raise ValueError("tick_interval must be > 0")
+        if self.max_ticks < 1:
+            raise ValueError("max_ticks must be >= 1")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,199 +129,178 @@ class Manifest:
     output_dir: Path = Path("out")
 
 
-def _parse_harness(doc: dict) -> HarnessConfig:
-    where = "harness"
-    device_id = _require(doc, "device_id", str, where)
-    fmt = doc.get("format", "ultralight")
-    try:
-        source = Source(fmt)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: unknown format {fmt!r}") from exc
-    schedule = doc.get("schedule", [])
-    if not isinstance(schedule, list):
-        raise ConfigError(f"{where}: schedule must be a list")
+def _schedule(value: object) -> tuple[tuple[int, float], ...]:
     pairs = []
-    for item in schedule:
+    for item in _list(value):
         if (not isinstance(item, list) or len(item) != 2
                 or not isinstance(item[0], int)
                 or not isinstance(item[1], (int, float))):
-            raise ConfigError(f"{where}: schedule entries are [tick, value]")
+            raise ValueError(f"entries are [tick, value], got {item!r}")
         pairs.append((item[0], float(item[1])))
+    return tuple(pairs)
+
+
+def _faults(value: object) -> tuple[Fault, ...]:
     faults = []
-    for item in doc.get("faults", []):
+    for item in _list(value):
         try:
-            faults.append(Fault(tick=int(item[0]),
-                                kind=FaultKind(item[1]),
-                                param=int(item[2]) if len(item) > 2 else 1))
-        except (ValueError, IndexError, TypeError) as exc:
-            raise ConfigError(f"{where}: bad fault entry {item!r}") from exc
+            faults.append(Fault(int(item[0]), FaultKind(item[1]),
+                                *map(int, item[2:])))
+        except (ValueError, IndexError, TypeError, KeyError) as exc:
+            raise ValueError(f"bad fault entry {item!r}") from exc
+    return tuple(faults)
+
+
+_HARNESS = {"device_id": _text, "format": Source, "schedule": _schedule,
+            "latency": int, "faults": _faults, "response_gain": float,
+            "entity_type": _text, "attribute": _text, "short_key": _text,
+            "jitter_sigma": float, "seed": int}
+
+
+def _parse_harness(doc: dict) -> HarnessConfig:
+    fields = _fields(doc, "harness", _HARNESS, required=("device_id",))
     try:
-        return HarnessConfig(
-            device_id=device_id, format=source, schedule=tuple(pairs),
-            latency=int(doc.get("latency", 0)), faults=tuple(faults),
-            response_gain=float(doc.get("response_gain", 1.0)),
-            entity_type=doc.get("entity_type", "Device"),
-            attribute=doc.get("attribute", "vehicleFlow"),
-            short_key=doc.get("short_key", "f"),
-            jitter_sigma=float(doc.get("jitter_sigma", 0.0)),
-            seed=int(doc.get("seed", 0)))
+        return HarnessConfig(**fields)
     except ValueError as exc:
+        raise ConfigError(f"harness: {exc}") from exc
+
+
+def _forecast_method(value: object) -> str:
+    if value not in FORECAST_METHODS:
+        raise ValueError(f"unknown forecast method {value!r}; "
+                         f"one of {sorted(FORECAST_METHODS)}")
+    return value
+
+
+def dtdl_interface(value: object, where: str) -> dict:
+    """A DTDL interface model, checked once by the DTDL parser's own
+    rules, so a bad model is not reported against every payload."""
+    try:
+        parse_model(_object(value))
+    except (TypeError, SchemaViolation) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    return value
+
+
+def _removed_switch(value: object) -> bool:
+    # removed run variants; older manifests carry both as false
+    if value is not False:
+        raise ValueError(f"removed; only false is accepted, got {value!r}")
+    return value
+
+
+_REMOVED_SWITCHES = ("low_latency_ingest", "feedback_on_change_only")
+_SIM = {"objective_metric": _text, "input_metric": _text,
+        "input_name": _text, "horizon": int, "step_size": float, "seed": int}
+_PREDICTOR = {"method": _forecast_method, "window": int, "min_window": int,
+              "moving_average_k": int, "attributes": _texts}
+_SHADOW_TYPE = {"name": _text, "attributes": _texts, "entity_type": _text}
+_ADAPTER = {"format": Source, "device_filter": _object,
+            "attribute_map": _object, "entity_type": _text,
+            "dtdl_model": lambda value: dtdl_interface(
+                value, "run.adapter.dtdl_model")}
+_FEEDBACK = {"alert_templates": _object, "display_names": _object,
+             "default_template": _text, "ok_message": _text}
+
+
+def _shadow_type(doc: object, where: str) -> ShadowType:
+    fields = _fields(doc, where, _SHADOW_TYPE,
+                     required=("name", "attributes"))
+    return ShadowType(fields.pop("name"), fields.pop("attributes"), **fields)
 
 
 def _parse_run(doc: dict) -> RunConfig:
     where = "run"
-    entity_id = _require(doc, "entity_id", str, where)
-    model_doc = _require(doc, "model", dict, where)
+    fields = _fields(doc, where, {
+        "entity_id": _text,
+        "model": lambda value: ModelSpec.from_json(_object(value)),
+        "sim": lambda value: _fields(value, f"{where}.sim", _SIM),
+        "predictor": lambda value: PredictorConfig(
+            **_fields(value, f"{where}.predictor", _PREDICTOR)),
+        "shadow_types": lambda value: _items(
+            value, f"{where}.shadow_types", _shadow_type),
+        "adapter": lambda value: AdapterConfig(
+            Direction.P2D, **_fields(value, f"{where}.adapter", _ADAPTER)),
+        "feedback": lambda value: FeedbackConfig(
+            **_fields(value, f"{where}.feedback", _FEEDBACK)),
+        "tick_interval": float, "max_ticks": int, "horizon": int,
+        "device_registry": _object,
+        "check_template": lambda value: SequenceTemplate.from_json(
+            _object(value)),
+        **dict.fromkeys(_REMOVED_SWITCHES, _removed_switch),
+    }, required=("entity_id", "model", "shadow_types"))
+    for key in _REMOVED_SWITCHES:
+        fields.pop(key, None)
+    fields["sim"] = SimulationSettings(model_id=fields["model"].model_id,
+                                       **fields.get("sim", {}))
     try:
-        model = ModelSpec.from_json(model_doc)
-    except KeyError as exc:
-        raise ConfigError(f"{where}.model: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.model: {exc}") from exc
-    for key in ("low_latency_ingest", "feedback_on_change_only"):
-        # removed run variants; older manifests carry both as false
-        if doc.get(key, False) is not False:
-            raise ConfigError(f"{where}.{key}: removed; only false is "
-                              f"accepted, got {doc[key]!r}")
-    sim_doc = doc.get("sim", {})
-    sim_where = f"{where}.sim"
-    sim = SimulationSettings(
-        model_id=model.model_id,
-        objective_metric=sim_doc.get("objective_metric", "density"),
-        input_metric=sim_doc.get("input_metric", "vehicleFlow"),
-        input_name=sim_doc.get("input_name", "inflow"),
-        horizon=_convert(sim_doc, "horizon", int, 10, sim_where),
-        step_size=_convert(sim_doc, "step_size", float, 1.0, sim_where),
-        seed=_convert(sim_doc, "seed", int, 0, sim_where))
-    pred_doc = doc.get("predictor", {})
-    pred_where = f"{where}.predictor"
-    method = pred_doc.get("method", "linear")
-    if method not in FORECAST_METHODS:
-        raise ConfigError(f"{pred_where}.method: unknown forecast method "
-                          f"{method!r}; one of {sorted(FORECAST_METHODS)}")
-    predictor = PredictorConfig(
-        method=method,
-        window=_convert(pred_doc, "window", int, 10, pred_where),
-        min_window=_convert(pred_doc, "min_window", int, 3, pred_where),
-        moving_average_k=_convert(pred_doc, "moving_average_k", int, 3,
-                                  pred_where),
-        attributes=tuple(pred_doc["attributes"])
-        if "attributes" in pred_doc else None)
-    shadow_types = []
-    for item in doc.get("shadow_types", []):
-        try:
-            shadow_types.append(ShadowType(
-                name=item["name"],
-                attribute_set=frozenset(item["attributes"]),
-                entity_type=item.get("entity_type", "Device")))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{where}.shadow_types: {exc}") from exc
-    if not shadow_types:
-        raise ConfigError(f"{where}: at least one shadow type is required")
-    adapter_doc = doc.get("adapter", {})
-    fmt = adapter_doc.get("format", "ultralight")
-    try:
-        source = Source(fmt)
+        return RunConfig(**fields)
     except ValueError as exc:
-        raise ConfigError(f"{where}.adapter: unknown format {fmt!r}") from exc
-    adapter = AdapterConfig(
-        direction=Direction.P2D, format=source,
-        device_filter=dict(adapter_doc.get("device_filter", {})),
-        attribute_map=dict(adapter_doc.get("attribute_map", {})),
-        entity_type=adapter_doc.get("entity_type", "Device"),
-        dtdl_model=adapter_doc.get("dtdl_model"))
-    feedback_doc = doc.get("feedback", {})
-    feedback = FeedbackConfig(
-        alert_templates=dict(feedback_doc.get("alert_templates", {})),
-        display_names=dict(feedback_doc.get("display_names", {})),
-        default_template=feedback_doc.get(
-            "default_template", "{metric} out of range on {name}"),
-        ok_message=feedback_doc.get("ok_message", "system ok"))
-    template = None
-    if "check_template" in doc:
-        try:
-            template = SequenceTemplate.from_json(doc["check_template"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"{where}.check_template: {exc}") from exc
-    tick_interval = _convert(doc, "tick_interval", float, 1.0, where)
-    max_ticks = _convert(doc, "max_ticks", int, 10, where)
-    horizon = _convert(doc, "horizon", int, 5, where)
-    if tick_interval <= 0:
-        raise ConfigError(f"{where}: tick_interval must be > 0")
-    if max_ticks < 1:
-        raise ConfigError(f"{where}: max_ticks must be >= 1")
-    if horizon < 1:
-        raise ConfigError(f"{where}: horizon must be >= 1")
-    return RunConfig(
-        entity_id=entity_id, tick_interval=tick_interval,
-        max_ticks=max_ticks, horizon=horizon, model=model, sim=sim,
-        predictor=predictor, shadow_types=tuple(shadow_types),
-        adapter=adapter,
-        device_registry=dict(doc.get("device_registry", {})),
-        feedback=feedback, check_template=template)
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_bands(doc: object) -> dict[str, Band]:
     """The `bands` of a thresholds document, each validated."""
-    specs = doc.get("bands", {}) if isinstance(doc, dict) else None
-    if not isinstance(specs, dict):
-        raise ConfigError("thresholds: expected {\"bands\": {...}}")
+    specs = _fields(doc, "thresholds", {"bands": _object},
+                    required=("bands",))["bands"]
+    if not specs:
+        raise ConfigError("thresholds: no bands configured")
     bands = {}
     for metric, spec in specs.items():
-        if not isinstance(spec, dict):
-            raise ConfigError(f"thresholds: band {metric!r} must be an object")
+        where = f"thresholds.bands.{metric}"
+        fields = _fields(spec, where, {"lo": float, "hi": float,
+                                       "critical_multiplier": float},
+                         required=("lo", "hi"))
         try:
-            bands[metric] = Band(
-                lo=float(spec["lo"]), hi=float(spec["hi"]),
-                critical_multiplier=float(spec.get("critical_multiplier",
-                                                   0.5)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"thresholds: band {metric!r}: {exc}") from exc
-    if not bands:
-        raise ConfigError("thresholds: no bands configured")
+            bands[metric] = Band(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     return bands
 
 
-def _parse_candidates(doc: dict) -> tuple[CandidateSolution, ...]:
-    candidates = []
-    for item in doc.get("candidates", []):
-        if not isinstance(item, dict) or "id" not in item:
-            raise ConfigError(f"candidates: entries need an 'id': {item!r}")
-        actions = []
-        for action in item.get("actions", []):
-            try:
-                actions.append(Action(
-                    name=action["name"], target=action.get("target", ""),
-                    arguments=dict(action.get("args", {}))))
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(
-                    f"candidates: {item['id']}: bad action: {exc}") from exc
-        candidates.append(CandidateSolution(
-            candidate_id=item["id"], actions=tuple(actions)))
-    return tuple(candidates)
+def _action(doc: object, where: str) -> Action:
+    fields = _fields(doc, where, {"name": _text, "target": _text,
+                                  "args": _object}, required=("name",))
+    if "args" in fields:
+        fields["arguments"] = fields.pop("args")
+    return Action(**fields)
+
+
+def _candidate(doc: object, where: str) -> CandidateSolution:
+    fields = _fields(doc, where, {
+        "id": _text,
+        "actions": lambda value: _items(value, f"{where}.actions", _action),
+    }, required=("id",))
+    return CandidateSolution(fields.pop("id"), **fields)
+
+
+def _parse_candidates(doc: object) -> tuple[CandidateSolution, ...]:
+    return _fields(doc, "candidates", {
+        "candidates": lambda value: _items(value, "candidates.candidates",
+                                           _candidate),
+    }, required=("candidates",))["candidates"]
 
 
 def load_manifest(path: str | Path, loop: str = "monitoring") -> Manifest:
     """Load and validate a manifest for the given loop kind."""
     path = Path(path)
-    doc = read_json(path, "manifest")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: manifest must be a JSON object")
     base = path.parent
-    harness = _parse_harness(_load_section(doc, "harness", base,
-                                           required=True))
-    run = _parse_run(_load_section(doc, "run", base, required=True))
-    needs_services = loop == "prediction"
-    thresholds_doc = _load_section(doc, "thresholds", base,
-                                   required=needs_services)
-    candidates_doc = _load_section(doc, "candidates", base, required=False)
-    if needs_services and candidates_doc is None:
-        raise ConfigError("manifest: prediction loop needs 'candidates'")
-    bands = parse_bands(thresholds_doc) if thresholds_doc else {}
-    candidates = _parse_candidates(candidates_doc) if candidates_doc else ()
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("manifest: output_dir must be a string")
-    return Manifest(harness=harness, run=run, bands=bands,
-                    candidates=candidates, output_dir=base / output_dir)
+
+    def section(value: object) -> dict:
+        if isinstance(value, str):
+            value = read_json(base / value, "manifest section file")
+        return _object(value)
+
+    required = ("harness", "run")
+    if loop == "prediction":
+        required += ("thresholds", "candidates")
+    top = _fields(read_json(path, "manifest"), "manifest", {
+        "harness": lambda value: _parse_harness(section(value)),
+        "run": lambda value: _parse_run(section(value)),
+        "thresholds": lambda value: parse_bands(section(value)),
+        "candidates": lambda value: _parse_candidates(section(value)),
+        "output_dir": _text}, required=required)
+    if "thresholds" in top:
+        top["bands"] = top.pop("thresholds")
+    top["output_dir"] = base / top.get("output_dir", Manifest.output_dir)
+    return Manifest(**top)

@@ -78,6 +78,11 @@ class TwinState:
             parts.append(f"a {name} of {rendered}")
         return " with ".join(parts) if parts else "no observed metrics"
 
+    def to_json(self) -> dict:
+        """The States record body, also written to `states.json`."""
+        return {"metrics": self.metrics, "provenance": self.provenance.value,
+                "computed_at": format_rfc3339(self.computed_at)}
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -135,14 +140,14 @@ class Deviation:
 @dataclass(frozen=True)
 class Action:
     name: str
-    target: str
+    target: str = ""
     arguments: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class CandidateSolution:
     candidate_id: str
-    actions: tuple[Action, ...]
+    actions: tuple[Action, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -227,9 +232,7 @@ class StateMonitor:
                           metrics=metrics, provenance=provenance)
         key = RecordKey(namespace=Namespace.STATES, entity_id=entity_id,
                         name="state", observed_at=state.computed_at)
-        self.storage.upsert(key, {
-            "metrics": metrics, "provenance": provenance.value,
-            "computed_at": format_rfc3339(state.computed_at)})
+        self.storage.upsert(key, state.to_json())
         return state
 
 

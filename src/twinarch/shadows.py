@@ -19,6 +19,7 @@ is single-threaded: callers must not share it across threads.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -31,7 +32,7 @@ from .wire.common import Measurement, Scalar
 class ShadowType:
     name: str
     attribute_set: frozenset[str]
-    entity_type: str
+    entity_type: str = "Device"
 
     def __post_init__(self) -> None:
         if not isinstance(self.attribute_set, frozenset):
@@ -86,8 +87,9 @@ class ShadowManager:
     def __init__(self, storage: SharedStorage) -> None:
         self.storage = storage
         self._shadows: dict[str, _Entry] = {}
-        # entity_id -> its shadows in registration order: the shadows a
-        # measurement of that entity is offered to
+        # entity_id -> its shadows in shadow-id order: the shadows a
+        # measurement of that entity is offered to, in the same order
+        # live and after a replay
         self._by_entity: dict[str, list[_Entry]] = {}
 
     def rebuild_index(self) -> int:
@@ -118,7 +120,8 @@ class ShadowManager:
             return None
         entry = self._shadows[shadow_id] = _Entry(
             shadow_id, shadow_type, entity_id, created_at)
-        self._by_entity.setdefault(entity_id, []).append(entry)
+        bisect.insort(self._by_entity.setdefault(entity_id, []), entry,
+                      key=lambda e: e.shadow_id)
         # the trace is in time order: the last point of each attribute wins
         for point in self._materialize(entry, None, None).trace:
             entry.latest[point.attribute] = point
@@ -213,8 +216,7 @@ class ShadowManager:
         from memory: no trace is read. When two shadows hold an
         attribute at the same instant, the later shadow id wins."""
         latest: dict[str, TracePoint] = {}
-        for entry in sorted(self._by_entity.get(entity_id, ()),
-                            key=lambda e: e.shadow_id):
+        for entry in self._by_entity.get(entity_id, ()):
             for attribute, point in entry.latest.items():
                 current = latest.get(attribute)
                 if (current is None

@@ -36,6 +36,18 @@ def check_scalar(value: object, context: str) -> Scalar:
         f"{context}: unsupported value type {type(value).__name__}")
 
 
+def scalar_type(value: Scalar) -> str:
+    """The value type name Ditto and DTDL share for a scalar."""
+    # bool before int: bool is an int subclass
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, int):
+        return "integer"
+    if isinstance(value, float):
+        return "double"
+    return "string"
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One observed attribute value, normalized from any wire format."""

@@ -15,7 +15,7 @@ import json
 from datetime import datetime
 
 from ..errors import MalformedJson, SchemaViolation, Unrepresentable
-from .common import Measurement, Scalar, Source, check_scalar
+from .common import Measurement, Source, check_scalar, scalar_type
 
 _TYPE_CHECKS = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -77,16 +77,6 @@ def parse_ditto_thing(payload: str | bytes, observed_at: datetime,
     return measurements
 
 
-def _declared_type(value: Scalar) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "double"
-    return "string"
-
-
 def serialize_ditto_thing(measurements: list[Measurement]) -> str:
     """Encode measurements of a single entity as a Ditto thing document."""
     if not measurements:
@@ -98,7 +88,7 @@ def serialize_ditto_thing(measurements: list[Measurement]) -> str:
             raise Unrepresentable("one thing document per entity")
         if m.location is not None:
             raise Unrepresentable("Ditto attributes cannot carry a location")
-        attributes[m.attribute] = {"type": _declared_type(m.value),
+        attributes[m.attribute] = {"type": scalar_type(m.value),
                                    "value": m.value}
     return json.dumps({"thingId": thing_id, "attributes": attributes},
                       sort_keys=True)

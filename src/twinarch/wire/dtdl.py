@@ -17,7 +17,7 @@ from __future__ import annotations
 from datetime import datetime
 
 from ..errors import SchemaViolation, UndeclaredTelemetry, Unrepresentable
-from .common import Measurement, Scalar, Source, check_scalar
+from .common import Measurement, Scalar, Source, check_scalar, scalar_type
 from .ditto import _decode_json
 
 _SCHEMA_CHECKS = {
@@ -34,7 +34,9 @@ def _entity_type_from_dtmi(dtmi: str) -> str:
     return path.rsplit(":", 1)[-1] or "Interface"
 
 
-def _parse_model(model: str | bytes | dict) -> tuple[str, str, dict[str, str]]:
+def parse_model(model: str | bytes | dict) -> tuple[str, str, dict[str, str]]:
+    """(model id, entity type, telemetry name -> schema) of an interface
+    model; a SchemaViolation when it is not a supported interface."""
     doc = model if isinstance(model, dict) else _decode_json(model, "model")
     model_id = doc.get("@id")
     if not isinstance(model_id, str) or not model_id.startswith("dtmi:"):
@@ -65,7 +67,7 @@ def parse_dtdl_telemetry(model: str | bytes | dict,
                          telemetry: str | bytes,
                          observed_at: datetime) -> list[Measurement]:
     """Validate a telemetry message against its interface model."""
-    model_id, entity_type, declared = _parse_model(model)
+    model_id, entity_type, declared = parse_model(model)
     message = _decode_json(telemetry, "telemetry message")
     measurements = []
     for name, raw in message.items():
@@ -91,16 +93,6 @@ def parse_dtdl_telemetry(model: str | bytes | dict,
     return measurements
 
 
-def _schema_for(value: Scalar) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "double"
-    return "string"
-
-
 def derive_dtdl_model(measurements: list[Measurement]) -> dict:
     """Build the interface model implied by a set of measurements."""
     if not measurements:
@@ -115,7 +107,7 @@ def derive_dtdl_model(measurements: list[Measurement]) -> dict:
             continue
         seen.add(m.attribute)
         contents.append({"@type": "Telemetry", "name": m.attribute,
-                         "schema": _schema_for(m.value)})
+                         "schema": scalar_type(m.value)})
     return {"@id": model_id, "@type": "Interface", "contents": contents}
 
 

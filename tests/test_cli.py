@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import socket
+import subprocess
+import sys
+import time
 from datetime import timedelta
 
 import pytest
@@ -129,6 +134,62 @@ def test_ingest_stamps_lines_from_the_default_epoch(tmp_path, monkeypatch):
         DEFAULT_EPOCH, DEFAULT_EPOCH + timedelta(seconds=1)]
 
 
+def _twinarch(repo_root, *argv):
+    """`python -m twinarch ARGV` as a child process, its stdout piped."""
+    env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
+    return subprocess.Popen([sys.executable, "-m", "twinarch", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def test_ingest_listen_leaves_a_file_that_is_not_a_socket(tmp_path,
+                                                          repo_root):
+    target = tmp_path / "notes.txt"
+    target.write_text("keep me", encoding="utf-8")
+    proc = _twinarch(repo_root, "ingest", "--format", "ultralight",
+                     "--device", "d1", "--listen", str(target))
+    try:
+        _, err = proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+    assert target.read_text(encoding="utf-8") == "keep me"
+    assert proc.returncode == 2
+    assert "not a socket" in err
+
+
+def test_ingest_listen_replaces_a_stale_socket(tmp_path, repo_root):
+    path = tmp_path / "s"
+    stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    stale.bind(str(path))
+    stale.close()       # the file stays: a socket nobody listens on
+    proc = _twinarch(repo_root, "ingest", "--format", "ultralight",
+                     "--device", "d1", "--listen", str(path))
+    try:
+        deadline = time.monotonic() + 10
+        while True:
+            client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                client.connect(str(path))
+                break
+            except OSError:
+                client.close()
+                assert time.monotonic() < deadline, "server never listened"
+                time.sleep(0.05)
+        with client, client.makefile("rw", encoding="utf-8") as stream:
+            stream.write("f|20\n")
+            stream.flush()
+            client.shutdown(socket.SHUT_WR)
+            receipts = stream.read()
+        assert proc.wait(timeout=10) == 0
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert json.loads(receipts) == {"decoded": 1, "stored": 1,
+                                    "rejected": 0, "dropped": 0}
+    assert not path.exists()
+
+
 def test_parse_and_ingest_dtdl_with_the_fixture_model(repo_root, monkeypatch,
                                                       capsys):
     fixtures = repo_root / "fixtures"
@@ -149,8 +210,9 @@ def test_parse_and_ingest_dtdl_with_the_fixture_model(repo_root, monkeypatch,
 
 @pytest.mark.parametrize("command, model", [
     ("parse", "absent"), ("parse", "{not json"), ("parse", "[]"),
+    ("parse", "{}"),
     ("ingest", "absent"), ("ingest", "{not json"), ("ingest", "[]"),
-    ("ingest", None)])
+    ("ingest", "{}"), ("ingest", None)])
 def test_dtdl_model_problems_are_config_errors(tmp_path, monkeypatch, capsys,
                                                command, model):
     telemetry = '{"vehicleCount": 35}'
@@ -355,6 +417,19 @@ def test_run_rejects_bad_tick_count_before_touching_output(
     assert exc.value.code == 2
     assert "--ticks" in capsys.readouterr().err
     assert journal.read_bytes() == before
+
+
+def test_run_with_a_misspelt_run_key_exits_2(tmp_path, repo_root, capsys):
+    run = json.loads((repo_root / "configs" / "demo" / "monitoring" /
+                      "run.json").read_text(encoding="utf-8"))
+    run["max_tick"] = run.pop("max_ticks")
+    misspelt = tmp_path / "run.json"
+    misspelt.write_text(json.dumps(run), encoding="utf-8")
+    manifest = write_manifest(tmp_path, repo_root, run_from=misspelt)
+    assert main(["run", "--loop", "monitoring",
+                 "--config", str(manifest)]) == 2
+    assert "run: unknown keys ['max_tick']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_prediction_without_candidates_exits_2(tmp_path, repo_root):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 import re
+import sys
 
 import pytest
 
@@ -12,6 +14,8 @@ from twinarch.configs import load_manifest
 from twinarch.errors import ConfigError
 from twinarch.harness import FaultKind
 from twinarch.wire import Source
+
+from conftest import REPO_ROOT
 
 BASE_DOC = {
     "harness": {"device_id": "TLF01", "schedule": [[1, 20], [2, 25.5]],
@@ -125,6 +129,37 @@ def test_demo_manifests_stay_loadable(repo_root):
     assert "vehicleFlow" in prediction.bands
 
 
+def _load_workloads():
+    path = REPO_ROOT / "twinbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_twinbench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body is built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_manifests_stay_loadable(tmp_path, seed):
+    # the benchmark builds its manifests itself; a key the strict
+    # parser rejects would stop every benchmark run
+    workloads = _load_workloads()
+    for loop, build in (("monitoring", workloads.monitoring_manifest),
+                        ("prediction", workloads.prediction_manifest)):
+        path = write_manifest(tmp_path, build(seed), f"{loop}.json")
+        assert load_manifest(path, loop).run.entity_id == "TLF01"
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.parent.name for p in (REPO_ROOT / "configs" / "demo").glob(
+        "*/manifest.json")))
+def test_every_demo_manifest_stays_loadable(repo_root, name):
+    loop = "prediction" if name.startswith("prediction") else "monitoring"
+    path = repo_root / "configs" / "demo" / name / "manifest.json"
+    assert load_manifest(path, loop).run.entity_id == "TLF01"
+
+
 REJECTED = [
     ("missing-manifest", None, "monitoring"),
     ("not-json", "{oops", "monitoring"),
@@ -181,6 +216,34 @@ REJECTED = [
      "monitoring"),
     ("feedback-on-change-only-on",
      variant(**{"run.feedback_on_change_only": True}), "monitoring"),
+    ("dtdl-model-not-an-interface",
+     variant(**{"run.adapter": {"format": "dtdl", "dtdl_model": {}}}),
+     "monitoring"),
+    # a misspelt key at each manifest level
+    ("unknown-manifest-key", variant(output_dri="x"), "monitoring"),
+    ("unknown-harness-key", variant(**{"harness.lateny": 2}), "monitoring"),
+    ("unknown-run-key", variant(**{"run.max_tick": 3}), "monitoring"),
+    ("unknown-sim-key", variant(**{"run.sim.horizn": 3}), "monitoring"),
+    ("unknown-predictor-key", variant(**{"run.predictor.windw": 3}),
+     "monitoring"),
+    ("unknown-adapter-key", variant(**{"run.adapter.formt": "ditto"}),
+     "monitoring"),
+    ("unknown-feedback-key", variant(**{"run.feedback.ok_mesage": "ok"}),
+     "monitoring"),
+    ("unknown-shadow-type-key", variant(**{"run.shadow_types": [
+        {"name": "traffic", "attributes": ["vehicleFlow"],
+         "entity_typ": "TrafficSensor"}]}), "monitoring"),
+    ("unknown-thresholds-key", variant(**{"thresholds.band": {}}),
+     "prediction"),
+    ("unknown-band-key", variant(**{"thresholds.bands": {
+        "density": {"lo": 0.0, "hi": 0.7, "high": 0.9}}}), "prediction"),
+    ("unknown-candidates-key", variant(**{"candidates.candidate": []}),
+     "prediction"),
+    ("unknown-candidate-key", variant(**{"candidates.candidates": [
+        {"id": "x", "action": []}]}), "prediction"),
+    ("unknown-action-key", variant(**{"candidates.candidates": [
+        {"id": "x", "actions": [{"name": "extend-green",
+                                 "arg": {"seconds": 20}}]}]}), "prediction"),
 ]
 
 

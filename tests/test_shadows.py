@@ -213,6 +213,23 @@ def test_shadows_sharing_a_type_name_take_only_their_own_attributes(
     assert set(mgr.latest_points("e2")) == {"speed"}
 
 
+def test_shadows_created_at_one_instant_update_in_id_order(tmp_path):
+    # every manifest creates all its shadow types at tick 0; a replay
+    # re-registers them in descriptor read order, not creation order
+    journal = tmp_path / "journal.jsonl"
+    storage = SharedStorage(journal_path=journal)
+    live = ShadowManager(storage)
+    for name in ("traffic", "motion"):
+        live.create_shadow(ShadowType(name, frozenset({"flow"}), "Sensor"),
+                           "e1", created_at=ts(0))
+    storage.close()
+    replayed = ShadowManager(SharedStorage.replay(journal))
+    assert replayed.rebuild_index() == 2
+    for mgr in (live, replayed):
+        assert mgr.update_from_measurement(measurement("flow", 1, t=1)) == [
+            "motion:e1", "traffic:e1"]
+
+
 class _ShadowModel:
     """Dict model of a shadow manager: each shadow takes a measurement
     of its own entity when its own type covers it."""
@@ -232,7 +249,7 @@ class _ShadowModel:
 
     def update(self, m: Measurement) -> list[str]:
         updated = []
-        for shadow_id, (shadow_type, entity) in self.types.items():
+        for shadow_id, (shadow_type, entity) in sorted(self.types.items()):
             if entity != m.entity_id or not shadow_type.covers(m):
                 continue
             points = self.points[shadow_id]
@@ -283,14 +300,12 @@ def test_live_and_replayed_managers_match_a_dict_model(registrations, before,
         journal = Path(tmp) / "journal.jsonl"
         storage = SharedStorage(journal_path=journal, clock=lambda: ts(0))
         live, model = ShadowManager(storage), _ShadowModel()
-        # one creation instant each, so replay re-registers in this order
-        for index, (shadow_type, entity) in enumerate(registrations):
+        for shadow_type, entity in registrations:
             if model.create(shadow_type, entity):
-                live.create_shadow(shadow_type, entity, created_at=ts(index))
+                live.create_shadow(shadow_type, entity, created_at=ts(0))
             else:
                 with pytest.raises(DuplicateShadow):
-                    live.create_shadow(shadow_type, entity,
-                                       created_at=ts(index))
+                    live.create_shadow(shadow_type, entity, created_at=ts(0))
         for m in before:
             assert live.update_from_measurement(m) == model.update(m)
         storage.close()
