@@ -59,10 +59,13 @@ def _fields(doc: object, where: str,
     return fields
 
 
-def _json_type(kind: type, name: str) -> Callable[[object], object]:
-    """A converter that passes a JSON value of one type through."""
+def _json_type(kind: type | tuple[type, ...],
+               name: str) -> Callable[[object], object]:
+    """A converter that passes a JSON value of one type through. JSON
+    true and false are booleans, never numbers, though Python's bool
+    is an int."""
     def check(value: object) -> object:
-        if not isinstance(value, kind):
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise TypeError(f"must be {name}, got {type(value).__name__}")
         return value
     return check
@@ -71,6 +74,12 @@ def _json_type(kind: type, name: str) -> Callable[[object], object]:
 _text = _json_type(str, "a string")
 _object = _json_type(dict, "an object")
 _list = _json_type(list, "a list")
+_int = _json_type(int, "an integer")
+_number = _json_type((int, float), "a number")
+
+
+def _float(value: object) -> float:
+    return float(_number(value))
 
 
 def _texts(value: object) -> tuple[str, ...]:
@@ -132,11 +141,9 @@ class Manifest:
 def _schedule(value: object) -> tuple[tuple[int, float], ...]:
     pairs = []
     for item in _list(value):
-        if (not isinstance(item, list) or len(item) != 2
-                or not isinstance(item[0], int)
-                or not isinstance(item[1], (int, float))):
+        if not isinstance(item, list) or len(item) != 2:
             raise ValueError(f"entries are [tick, value], got {item!r}")
-        pairs.append((item[0], float(item[1])))
+        pairs.append((_int(item[0]), _float(item[1])))
     return tuple(pairs)
 
 
@@ -144,17 +151,17 @@ def _faults(value: object) -> tuple[Fault, ...]:
     faults = []
     for item in _list(value):
         try:
-            faults.append(Fault(int(item[0]), FaultKind(item[1]),
-                                *map(int, item[2:])))
+            faults.append(Fault(_int(item[0]), FaultKind(item[1]),
+                                *map(_int, item[2:])))
         except (ValueError, IndexError, TypeError, KeyError) as exc:
             raise ValueError(f"bad fault entry {item!r}") from exc
     return tuple(faults)
 
 
 _HARNESS = {"device_id": _text, "format": Source, "schedule": _schedule,
-            "latency": int, "faults": _faults, "response_gain": float,
+            "latency": _int, "faults": _faults, "response_gain": _float,
             "entity_type": _text, "attribute": _text, "short_key": _text,
-            "jitter_sigma": float, "seed": int}
+            "jitter_sigma": _float, "seed": _int}
 
 
 def _parse_harness(doc: dict) -> HarnessConfig:
@@ -191,9 +198,10 @@ def _removed_switch(value: object) -> bool:
 
 _REMOVED_SWITCHES = ("low_latency_ingest", "feedback_on_change_only")
 _SIM = {"objective_metric": _text, "input_metric": _text,
-        "input_name": _text, "horizon": int, "step_size": float, "seed": int}
-_PREDICTOR = {"method": _forecast_method, "window": int, "min_window": int,
-              "moving_average_k": int, "attributes": _texts}
+        "input_name": _text, "horizon": _int, "step_size": _float,
+        "seed": _int}
+_PREDICTOR = {"method": _forecast_method, "window": _int, "min_window": _int,
+              "moving_average_k": _int, "attributes": _texts}
 _SHADOW_TYPE = {"name": _text, "attributes": _texts, "entity_type": _text}
 _ADAPTER = {"format": Source, "device_filter": _object,
             "attribute_map": _object, "entity_type": _text,
@@ -201,6 +209,18 @@ _ADAPTER = {"format": Source, "device_filter": _object,
                 value, "run.adapter.dtdl_model")}
 _FEEDBACK = {"alert_templates": _object, "display_names": _object,
              "default_template": _text, "ok_message": _text}
+
+
+def _inbound_adapter(doc: object) -> AdapterConfig:
+    """The run's P2D adapter; a format it could parse no payload with
+    is refused here, not once per payload."""
+    config = AdapterConfig(Direction.P2D,
+                           **_fields(doc, "run.adapter", _ADAPTER))
+    if config.format is Source.INTERNAL:
+        raise ValueError("format internal has no wire parser")
+    if config.format is Source.DTDL and config.dtdl_model is None:
+        raise ValueError("format dtdl needs a dtdl_model")
+    return config
 
 
 def _shadow_type(doc: object, where: str) -> ShadowType:
@@ -219,11 +239,10 @@ def _parse_run(doc: dict) -> RunConfig:
             **_fields(value, f"{where}.predictor", _PREDICTOR)),
         "shadow_types": lambda value: _items(
             value, f"{where}.shadow_types", _shadow_type),
-        "adapter": lambda value: AdapterConfig(
-            Direction.P2D, **_fields(value, f"{where}.adapter", _ADAPTER)),
+        "adapter": _inbound_adapter,
         "feedback": lambda value: FeedbackConfig(
             **_fields(value, f"{where}.feedback", _FEEDBACK)),
-        "tick_interval": float, "max_ticks": int, "horizon": int,
+        "tick_interval": _float, "max_ticks": _int, "horizon": _int,
         "device_registry": _object,
         "check_template": lambda value: SequenceTemplate.from_json(
             _object(value)),
@@ -248,8 +267,8 @@ def parse_bands(doc: object) -> dict[str, Band]:
     bands = {}
     for metric, spec in specs.items():
         where = f"thresholds.bands.{metric}"
-        fields = _fields(spec, where, {"lo": float, "hi": float,
-                                       "critical_multiplier": float},
+        fields = _fields(spec, where, {"lo": _float, "hi": _float,
+                                       "critical_multiplier": _float},
                          required=("lo", "hi"))
         try:
             bands[metric] = Band(**fields)

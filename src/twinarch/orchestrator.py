@@ -31,7 +31,7 @@ from .services import (Deviation, DeviationDetector, Feedback,
 from .shadows import ShadowManager
 from .simulation import ModelEngine, ModelManager, SimScenario
 from .storage import SharedStorage
-from .tracing import (MatchReport, SequenceTemplate, Tracer, check_trace,
+from .tracing import (MatchReport, SequenceTemplate, Tracer, check_trace, hop,
                       monitoring_template, prediction_template)
 
 log = logging.getLogger("twinarch.run")
@@ -94,9 +94,8 @@ class TwinManager:
         self.finder = SolutionFinder(
             generator=self.generator,
             tracer=self.tracer,
-            submit=self.new_scenario_sim,
+            simulate=self.new_scenario_sim,
             catalog=manifest.candidates,
-            get_result=self._await_result,
             desired_band=manifest.bands.get(
                 settings.objective_metric) or _any_band(manifest.bands))
 
@@ -104,27 +103,23 @@ class TwinManager:
 
     # -- shared hops -------------------------------------------------------------
 
-    def new_scenario_sim(self, scenario: SimScenario) -> str:
-        """Queue a what-if scenario: the Planner's newScenarioSim hop."""
-        self.tracer.record("Planner", "TwinManager", "newScenarioSim",
-                           scenario.to_json())
+    def new_scenario_sim(self, scenario: SimScenario) -> float | None:
+        """Run one what-if scenario, from the Planner's newScenarioSim
+        hop to its stored result, and return its objective."""
+        self.tracer.record(*hop.NEW_SCENARIO_SIM, scenario.to_json())
         self._push_model()
         scenario_id = self.engine.scenario_sim(scenario)
-        self.tracer.record("ModelManager", "ModelEngine", "modelExecution",
-                           {"scenario_id": scenario_id})
-        return scenario_id
-
-    def _await_result(self, scenario_id: str):
+        self.tracer.record(*hop.MODEL_EXECUTION, {"scenario_id": scenario_id})
         self.engine.drain()
         status = self.engine.get_sim_state(scenario_id)
         if status.status != "completed" or status.result is None:
             raise TwinArchError(
                 f"scenario {scenario_id} did not complete: "
                 f"{status.status} ({status.error})")
-        self.tracer.record("ModelEngine", "DataManager", "storeSimResult",
+        self.tracer.record(*hop.STORE_WHATIF_RESULT,
                            {"scenario_id": scenario_id,
                             "objective": status.result.objective})
-        return status.result.objective, status.result
+        return status.result.objective
 
     def _push_model(self) -> None:
         if self._model_pushed:
@@ -147,18 +142,16 @@ class TwinManager:
                 continue
             if receipt.decoded == 0:
                 continue
-            self.tracer.record("DataProvider", "P2DAdapter", "transmitData",
-                               {"payload": payload})
+            self.tracer.record(*hop.TRANSMIT_DATA, {"payload": payload})
             # the hops in the order the work ran: stored, then shadowed
-            self.tracer.record("P2DAdapter", "DataManager", "storeData",
+            self.tracer.record(*hop.STORE_DATA,
                                {"stored": receipt.stored,
                                 "rejected": receipt.rejected})
             updated = []
             for measurement in receipt.measurements:
                 updated.extend(
                     self.shadow_manager.update_from_measurement(measurement))
-            self.tracer.record("DataManager", "ShadowManager",
-                               "updateShadows", {"shadows": updated})
+            self.tracer.record(*hop.UPDATE_SHADOWS, {"shadows": updated})
             stored_total += receipt.stored
         return stored_total
 
@@ -198,39 +191,32 @@ class TwinManager:
             self._ingest_tick(tick)
 
             if not self._model_pushed:
-                self.tracer.record("TwinManager", "ModelManager",
-                                   "updateModel", run.model.to_json())
+                self.tracer.record(*hop.UPDATE_MODEL, run.model.to_json())
                 self._push_model()
             scenario = self._current_conditions_scenario(tick)
-            self.tracer.record("TwinManager", "ModelManager",
-                               "executeSimulation", scenario.to_json())
+            self.tracer.record(*hop.EXECUTE_SIMULATION, scenario.to_json())
             result = self.engine.model_execution(scenario)
-            self.tracer.record("ModelManager", "DataManager",
-                               "storeSimResult",
+            self.tracer.record(*hop.STORE_SIM_RESULT,
                                {"scenario_id": scenario.scenario_id,
                                 "final": result.state_series[-1]})
 
-            self.tracer.record("TwinManager", "ServiceManager",
-                               "computeState", {"entity": run.entity_id})
+            self.tracer.record(*hop.COMPUTE_STATE, {"entity": run.entity_id})
             state = self.monitor.get_state(run.entity_id)
             output.states[run.entity_id] = state
-            self.tracer.record("ServiceManager", "DataManager", "storeState",
+            self.tracer.record(*hop.STORE_STATE,
                                {"metrics": state.metrics,
                                 "provenance": state.provenance.value})
 
             deviations = (self.detector.detect_deviation(state)
                           if self.manifest.bands else [])
             item: Deviation | None = deviations[0] if deviations else None
-            self.tracer.record("ServiceManager", "FeedbackProvider",
-                               "deliverState", {"metrics": state.metrics})
-            self.tracer.record("FeedbackProvider", "D2PAdapter",
-                               "emitFeedback",
+            self.tracer.record(*hop.DELIVER_STATE, {"metrics": state.metrics})
+            self.tracer.record(*hop.EMIT_FEEDBACK,
                                {"deviation": item.deviation_id
                                 if item else None})
             feedback = self.feedback_executor.execute_feedback(
                 item, run.entity_id, issued_at=self.clock.now())
-            self.tracer.record("D2PAdapter", "DataReceiver",
-                               "deliverFeedback",
+            self.tracer.record(*hop.DELIVER_FEEDBACK,
                                {"variant": feedback.variant,
                                 "message": feedback.message})
             output.feedbacks.append(feedback)
@@ -254,11 +240,11 @@ class TwinManager:
             self._ingest_tick(tick)
             output.ticks_run = tick
 
-        self.tracer.record("TwinManager", "Predictor", "forecast",
+        self.tracer.record(*hop.FORECAST,
                            {"entity": run.entity_id, "horizon": run.horizon})
         prediction = self.predictor.prediction(run.entity_id, run.horizon)
         self.tracer.record(
-            "Predictor", "DeviationDetector", "predictedStates",
+            *hop.PREDICTED_STATES,
             {"series": [(str(t), m) for t, m in prediction.predicted_series],
              "method": prediction.method})
         deviations = self.detector.detect_deviation(prediction)
@@ -268,7 +254,7 @@ class TwinManager:
             return output
 
         deviation = self._pick_deviation(deviations)
-        self.tracer.record("DeviationDetector", "SolutionFinder", "deviation",
+        self.tracer.record(*hop.DEVIATION,
                            {"metric": deviation.metric,
                             "value": deviation.value,
                             "severity": deviation.severity.value,
@@ -284,27 +270,24 @@ class TwinManager:
                                              base_time)
         except NoFeasibleSolution as exc:
             log.warning("no feasible plan: %s; alerting instead", exc)
-            self.tracer.record("DeviationDetector", "FeedbackExecutor",
-                               "deviationAlert",
+            self.tracer.record(*hop.DEVIATION_ALERT,
                                {"deviation": deviation.deviation_id})
-            self.tracer.record("FeedbackExecutor", "D2PAdapter", "alert",
-                               {"metric": deviation.metric})
+            self.tracer.record(*hop.ALERT, {"metric": deviation.metric})
             feedback = self.feedback_executor.execute_feedback(
                 deviation, run.entity_id, issued_at=self.clock.now())
-            self.tracer.record("D2PAdapter", "DataReceiver", "deliverAlert",
+            self.tracer.record(*hop.DELIVER_ALERT,
                                {"message": feedback.message})
             output.feedbacks.append(feedback)
             return output
 
         output.plan = plan
-        self.tracer.record("Planner", "FeedbackExecutor", "plan",
+        self.tracer.record(*hop.PLAN,
                            {"actions": [a.name for a in plan.actions],
                             "objective": plan.expected_objective})
-        self.tracer.record("FeedbackExecutor", "D2PAdapter", "commandPlan",
-                           {"actions": len(plan.actions)})
+        self.tracer.record(*hop.COMMAND_PLAN, {"actions": len(plan.actions)})
         feedback = self.feedback_executor.execute_feedback(
             plan, run.entity_id, issued_at=self.clock.now())
-        self.tracer.record("D2PAdapter", "DataReceiver", "deliverCommands",
+        self.tracer.record(*hop.DELIVER_COMMANDS,
                            {"acks": len(plan.actions)})
         output.feedbacks.append(feedback)
         return output

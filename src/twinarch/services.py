@@ -32,7 +32,7 @@ from .errors import (InsufficientHistory, MissingThreshold, NoFeasibleSolution,
 from .shadows import ShadowManager
 from .simulation import SimScenario
 from .storage import Namespace, RecordKey, SharedStorage
-from .tracing import Tracer
+from .tracing import Tracer, hop
 from .wire.common import Scalar
 
 
@@ -494,17 +494,15 @@ class SolutionFinder:
     """
 
     def __init__(self, generator: ScenarioGenerator, tracer: Tracer,
-                 submit: Callable[[SimScenario], str],
+                 simulate: Callable[[SimScenario], float | None],
                  catalog: Sequence[CandidateSolution],
-                 get_result: Callable[[str], tuple[float | None, object]],
                  desired_band: Band) -> None:
-        # submit is TwinManager.new_scenario_sim;
-        # get_result: scenario_id -> (objective, result), once it has run
+        # simulate runs one scenario and returns its objective:
+        # TwinManager.new_scenario_sim
         self.generator = generator
         self.tracer = tracer
-        self.submit = submit
+        self.simulate = simulate
         self.catalog = list(catalog)
-        self.get_result = get_result
         self.desired_band = desired_band
 
     def find_solution(self, deviation: Deviation,
@@ -518,20 +516,19 @@ class SolutionFinder:
         scenario_ids = []
         for candidate in self.catalog:
             self.tracer.record(
-                "SolutionFinder", "ScenarioGenerator", "genScenario",
+                *hop.GEN_SCENARIO,
                 {"candidate": candidate.candidate_id,
                  "actions": [a.name for a in candidate.actions]})
             scenario = self.generator.gen_scenario(
                 deviation, candidate, inflow_series, base_time,
                 initial_state=initial_state)
-            scenario_id = self.submit(scenario)
-            scenario_ids.append(scenario_id)
-            objective, _ = self.get_result(scenario_id)
+            scenario_ids.append(scenario.scenario_id)
+            objective = self.simulate(scenario)
             if objective is None:
                 continue
             score = self.desired_band.distance(float(objective))
             scored.append((candidate_sort_key(candidate, score),
-                           candidate, float(objective), scenario_id))
+                           candidate, float(objective), scenario.scenario_id))
         feasible = [entry for entry in scored if entry[0][0] == 0.0]
         if not feasible:
             raise NoFeasibleSolution(

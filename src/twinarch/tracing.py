@@ -1,10 +1,11 @@
 """Interaction traces and sequence-template conformance checking.
 
-Every cross-element call in a run is recorded as one trace event
-(tick, from, to, message, payload digest). Conformance templates
-describe the two closed loops as ordered step groups; the matcher
-verifies that a recorded trace is a sequence of template instances and
-reports the first divergence when it is not.
+Every cross-element call in a run is one hop of the table below,
+recorded as one trace event (tick, from, to, message, payload
+digest). Conformance templates describe the two closed loops as
+ordered step groups; the matcher verifies that a recorded trace is a
+sequence of template instances and reports the first divergence when
+it is not.
 
 Trace file format, one JSON object per line:
 
@@ -16,10 +17,61 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .catalog import load_catalog
+
+class Hop(NamedTuple):
+    """One cross-element call that a run may record."""
+
+    source: str
+    target: str
+    message: str
+
+
+class hop:
+    """The hop table: every (source, target, message) a run records,
+    declared once. The record sites and the embedded templates both
+    read it, and `Tracer.record` refuses any triple not in it."""
+
+    # ingest, both loops: telemetry is stored, then the shadows updated
+    TRANSMIT_DATA = Hop("DataProvider", "P2DAdapter", "transmitData")
+    STORE_DATA = Hop("P2DAdapter", "DataManager", "storeData")
+    UPDATE_SHADOWS = Hop("DataManager", "ShadowManager", "updateShadows")
+    # monitoring
+    UPDATE_MODEL = Hop("TwinManager", "ModelManager", "updateModel")
+    EXECUTE_SIMULATION = Hop("TwinManager", "ModelManager",
+                             "executeSimulation")
+    STORE_SIM_RESULT = Hop("ModelManager", "DataManager", "storeSimResult")
+    COMPUTE_STATE = Hop("TwinManager", "ServiceManager", "computeState")
+    STORE_STATE = Hop("ServiceManager", "DataManager", "storeState")
+    DELIVER_STATE = Hop("ServiceManager", "FeedbackProvider", "deliverState")
+    EMIT_FEEDBACK = Hop("FeedbackProvider", "D2PAdapter", "emitFeedback")
+    DELIVER_FEEDBACK = Hop("D2PAdapter", "DataReceiver", "deliverFeedback")
+    # prediction
+    FORECAST = Hop("TwinManager", "Predictor", "forecast")
+    PREDICTED_STATES = Hop("Predictor", "DeviationDetector",
+                           "predictedStates")
+    DEVIATION = Hop("DeviationDetector", "SolutionFinder", "deviation")
+    GEN_SCENARIO = Hop("SolutionFinder", "ScenarioGenerator", "genScenario")
+    NEW_SCENARIO_SIM = Hop("Planner", "TwinManager", "newScenarioSim")
+    MODEL_EXECUTION = Hop("ModelManager", "ModelEngine", "modelExecution")
+    STORE_WHATIF_RESULT = Hop("ModelEngine", "DataManager", "storeSimResult")
+    PLAN = Hop("Planner", "FeedbackExecutor", "plan")
+    COMMAND_PLAN = Hop("FeedbackExecutor", "D2PAdapter", "commandPlan")
+    DELIVER_COMMANDS = Hop("D2PAdapter", "DataReceiver", "deliverCommands")
+    DEVIATION_ALERT = Hop("DeviationDetector", "FeedbackExecutor",
+                          "deviationAlert")
+    ALERT = Hop("FeedbackExecutor", "D2PAdapter", "alert")
+    DELIVER_ALERT = Hop("D2PAdapter", "DataReceiver", "deliverAlert")
+
+
+HOPS = frozenset(h for h in vars(hop).values() if isinstance(h, Hop))
+
+
+def _describe_hop(source: str, target: str, message: str) -> str:
+    return f"{source} -> {target}: {message}"
 
 
 def payload_digest(payload: object) -> str:
@@ -41,18 +93,6 @@ class TraceEvent:
                 "message": self.message, "digest": self.digest}
 
 
-_KNOWN_ELEMENTS: frozenset[str] | None = None
-
-
-def _known_elements() -> frozenset[str]:
-    global _KNOWN_ELEMENTS
-    if _KNOWN_ELEMENTS is None:
-        cat = load_catalog()
-        _KNOWN_ELEMENTS = frozenset(
-            [e.name for e in cat.entities] + [c.name for c in cat.components])
-    return _KNOWN_ELEMENTS
-
-
 class Tracer:
     """Ordered event recorder for one run."""
 
@@ -65,11 +105,9 @@ class Tracer:
 
     def record(self, source: str, target: str, message: str,
                payload: object = None) -> TraceEvent:
-        known = _known_elements()
-        if source not in known or target not in known:
-            raise ValueError(
-                f"trace elements must come from the catalog: "
-                f"{source!r} -> {target!r}")
+        if (source, target, message) not in HOPS:
+            raise ValueError(f"undeclared trace hop: "
+                             f"{_describe_hop(source, target, message)}")
         event = TraceEvent(tick=self.tick, seq=len(self.events),
                            source=source, target=target, message=message,
                            digest=payload_digest(payload))
@@ -105,7 +143,7 @@ class TemplateStep:
                 and event.message == self.message)
 
     def describe(self) -> str:
-        return f"{self.source} -> {self.target}: {self.message}"
+        return _describe_hop(self.source, self.target, self.message)
 
 
 @dataclass(frozen=True)
@@ -194,7 +232,7 @@ def _event_str(events: list[TraceEvent], index: int) -> str:
     if index >= len(events):
         return "end of trace"
     e = events[index]
-    return f"{e.source} -> {e.target}: {e.message}"
+    return _describe_hop(e.source, e.target, e.message)
 
 
 def _try_group(events: list[TraceEvent], start: int,
@@ -302,12 +340,12 @@ def _check_rules(template: SequenceTemplate, entered: dict[str, int],
 # Embedded loop templates
 # ---------------------------------------------------------------------------
 
-# telemetry is stored first, then the shadows are updated from it
-_INGEST_STEPS = (
-    TemplateStep("DataProvider", "P2DAdapter", "transmitData"),
-    TemplateStep("P2DAdapter", "DataManager", "storeData"),
-    TemplateStep("DataManager", "ShadowManager", "updateShadows"),
-)
+def _steps(*hops: Hop) -> tuple[TemplateStep, ...]:
+    return tuple(TemplateStep(*h) for h in hops)
+
+
+_INGEST_STEPS = _steps(hop.TRANSMIT_DATA, hop.STORE_DATA, hop.UPDATE_SHADOWS)
+_UPDATE_MODEL = TemplateStep(*hop.UPDATE_MODEL, optional=True)
 
 
 def monitoring_template() -> SequenceTemplate:
@@ -317,23 +355,11 @@ def monitoring_template() -> SequenceTemplate:
         groups=(
             StepGroup("ingest", _INGEST_STEPS, optional=True,
                       repeatable=True),
-            StepGroup("model", (
-                TemplateStep("TwinManager", "ModelManager", "updateModel",
-                             optional=True),
-                TemplateStep("TwinManager", "ModelManager",
-                             "executeSimulation"),
-                TemplateStep("ModelManager", "DataManager", "storeSimResult"),
-            )),
-            StepGroup("state", (
-                TemplateStep("TwinManager", "ServiceManager", "computeState"),
-                TemplateStep("ServiceManager", "DataManager", "storeState"),
-            )),
-            StepGroup("feedback", (
-                TemplateStep("ServiceManager", "FeedbackProvider",
-                             "deliverState"),
-                TemplateStep("FeedbackProvider", "D2PAdapter", "emitFeedback"),
-                TemplateStep("D2PAdapter", "DataReceiver", "deliverFeedback"),
-            )),
+            StepGroup("model", (_UPDATE_MODEL,) + _steps(
+                hop.EXECUTE_SIMULATION, hop.STORE_SIM_RESULT)),
+            StepGroup("state", _steps(hop.COMPUTE_STATE, hop.STORE_STATE)),
+            StepGroup("feedback", _steps(
+                hop.DELIVER_STATE, hop.EMIT_FEEDBACK, hop.DELIVER_FEEDBACK)),
         ))
 
 
@@ -344,35 +370,17 @@ def prediction_template() -> SequenceTemplate:
         groups=(
             StepGroup("ingest", _INGEST_STEPS, optional=True,
                       repeatable=True),
-            StepGroup("forecast", (
-                TemplateStep("TwinManager", "Predictor", "forecast"),
-                TemplateStep("Predictor", "DeviationDetector",
-                             "predictedStates"),
-            )),
-            StepGroup("deviation", (
-                TemplateStep("DeviationDetector", "SolutionFinder",
-                             "deviation"),
-            ), optional=True),
+            StepGroup("forecast", _steps(hop.FORECAST, hop.PREDICTED_STATES)),
+            StepGroup("deviation", _steps(hop.DEVIATION), optional=True),
             StepGroup("whatif", (
-                TemplateStep("SolutionFinder", "ScenarioGenerator",
-                             "genScenario"),
-                TemplateStep("Planner", "TwinManager", "newScenarioSim"),
-                TemplateStep("TwinManager", "ModelManager", "updateModel",
-                             optional=True),
-                TemplateStep("ModelManager", "ModelEngine", "modelExecution"),
-                TemplateStep("ModelEngine", "DataManager", "storeSimResult"),
+                *_steps(hop.GEN_SCENARIO, hop.NEW_SCENARIO_SIM),
+                _UPDATE_MODEL,
+                *_steps(hop.MODEL_EXECUTION, hop.STORE_WHATIF_RESULT),
             ), optional=True, repeatable=True),
-            StepGroup("plan_delivery", (
-                TemplateStep("Planner", "FeedbackExecutor", "plan"),
-                TemplateStep("FeedbackExecutor", "D2PAdapter", "commandPlan"),
-                TemplateStep("D2PAdapter", "DataReceiver", "deliverCommands"),
-            ), optional=True),
-            StepGroup("alert_delivery", (
-                TemplateStep("DeviationDetector", "FeedbackExecutor",
-                             "deviationAlert"),
-                TemplateStep("FeedbackExecutor", "D2PAdapter", "alert"),
-                TemplateStep("D2PAdapter", "DataReceiver", "deliverAlert"),
-            ), optional=True),
+            StepGroup("plan_delivery", optional=True, steps=_steps(
+                hop.PLAN, hop.COMMAND_PLAN, hop.DELIVER_COMMANDS)),
+            StepGroup("alert_delivery", optional=True, steps=_steps(
+                hop.DEVIATION_ALERT, hop.ALERT, hop.DELIVER_ALERT)),
         ),
         rules=(
             ChoiceRule(when="deviation",

@@ -219,6 +219,31 @@ REJECTED = [
     ("dtdl-model-not-an-interface",
      variant(**{"run.adapter": {"format": "dtdl", "dtdl_model": {}}}),
      "monitoring"),
+    # an adapter format that can parse no payload
+    ("dtdl-adapter-without-model", variant(**{"run.adapter": {
+        "format": "dtdl"}}), "monitoring"),
+    ("internal-adapter", variant(**{"run.adapter": {"format": "internal"}}),
+     "monitoring"),
+    # numbers are what they say: no bools, strings or truncated floats
+    ("max-ticks-float", variant(**{"run.max_ticks": 2.7}), "monitoring"),
+    ("max-ticks-bool", variant(**{"run.max_ticks": True}), "monitoring"),
+    ("max-ticks-string", variant(**{"run.max_ticks": "3"}), "monitoring"),
+    ("tick-interval-bool", variant(**{"run.tick_interval": True}),
+     "monitoring"),
+    ("latency-bool", variant(**{"harness.latency": True}), "monitoring"),
+    ("response-gain-string", variant(**{"harness.response_gain": "1.5"}),
+     "monitoring"),
+    ("sim-horizon-float", variant(**{"run.sim.horizon": 2.5}), "monitoring"),
+    ("predictor-window-bool", variant(**{"run.predictor.window": True}),
+     "monitoring"),
+    ("schedule-tick-bool", variant(**{"harness.schedule": [[True, 3]]}),
+     "monitoring"),
+    ("schedule-value-bool", variant(**{"harness.schedule": [[1, True]]}),
+     "monitoring"),
+    ("fault-tick-float", variant(**{"harness.faults": [[2.5, "Drop"]]}),
+     "monitoring"),
+    ("band-edge-bool", variant(**{"thresholds.bands": {
+        "density": {"lo": False, "hi": 0.7}}}), "prediction"),
     # a misspelt key at each manifest level
     ("unknown-manifest-key", variant(output_dri="x"), "monitoring"),
     ("unknown-harness-key", variant(**{"harness.lateny": 2}), "monitoring"),

@@ -361,14 +361,11 @@ def finder_with(objectives: dict[str, float | None], band=Band(0.0, 0.7)):
         for cid in objectives
     ]
 
-    def get_result(scenario_id: str):
-        cid = scenario_id.split("-", 2)[2]
-        return objectives[cid], None
+    def simulate(scenario):
+        submitted.append(scenario.scenario_id)
+        return objectives[scenario.scenario_id.split("-", 2)[2]]
 
-    finder = SolutionFinder(
-        gen, Tracer(),
-        lambda sc: submitted.append(sc.scenario_id) or sc.scenario_id,
-        catalog, get_result, band)
+    finder = SolutionFinder(gen, Tracer(), simulate, catalog, band)
     return finder, submitted
 
 
@@ -399,8 +396,8 @@ def test_finder_tie_breaks_by_action_count_then_names():
         CandidateSolution("one-a", (
             Action("divert-traffic", "TLF01", {"fraction": 0.3}),)),
     ]
-    finder = SolutionFinder(gen, Tracer(), lambda sc: sc.scenario_id, catalog,
-                            lambda sid: (0.1, None), Band(0.0, 0.7))
+    finder = SolutionFinder(gen, Tracer(), lambda sc: 0.1, catalog,
+                            Band(0.0, 0.7))
     plan = finder.find_solution(dev, [50.0], ts(12))
     # all scores tie at 0: fewest actions wins, then "divert-" < "extend-"
     assert plan.actions[0].name == "divert-traffic"
@@ -412,8 +409,8 @@ def test_finder_raises_when_nothing_restores_the_band():
     with pytest.raises(NoFeasibleSolution) as exc_info:
         finder.find_solution(a_deviation(), [50.0], ts(12))
     assert "2 candidates" in str(exc_info.value)
-    empty = SolutionFinder(generator(), Tracer(), lambda sc: "", [],
-                           lambda sid: (None, None), Band(0.0, 0.7))
+    empty = SolutionFinder(generator(), Tracer(), lambda sc: None, [],
+                           Band(0.0, 0.7))
     with pytest.raises(NoFeasibleSolution):
         empty.find_solution(a_deviation(), [1.0], ts(0))
     # objectives of None (failed sims) never count as feasible

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from twinarch.tracing import (ChoiceRule, SequenceTemplate, StepGroup,
-                              TemplateStep, TraceEvent, Tracer, check_trace,
-                              monitoring_template, payload_digest,
-                              prediction_template)
+import twinarch
+from twinarch.catalog import load_catalog
+from twinarch.tracing import (HOPS, ChoiceRule, Hop, SequenceTemplate,
+                              StepGroup, TemplateStep, TraceEvent, Tracer,
+                              check_trace, hop, monitoring_template,
+                              payload_digest, prediction_template)
 
 
 def ev(source, target, message, tick=0, seq=0):
@@ -40,7 +44,50 @@ def test_tracer_validates_elements_against_the_catalog():
         tracer.record("TwinManager", "Nobody", "hello")
     with pytest.raises(ValueError):
         tracer.record("Nobody", "TwinManager", "hello")
+    # two catalog elements, but not a declared hop
+    with pytest.raises(ValueError, match="undeclared"):
+        tracer.record("TwinManager", "ModelManager", "hello")
     assert len(tracer.events) == 1
+
+
+# --- hop table ------------------------------------------------------------------
+
+def test_hop_table_declares_each_hop_once_between_catalog_elements():
+    entries = [h for h in vars(hop).values() if isinstance(h, Hop)]
+    assert len(entries) == len(HOPS) == 24
+    catalog = load_catalog()
+    elements = ({e.name for e in catalog.entities}
+                | {c.name for c in catalog.components})
+    for declared in HOPS:
+        assert {declared.source, declared.target} <= elements, declared
+
+
+def test_embedded_template_steps_are_table_hops():
+    for template in (monitoring_template(), prediction_template()):
+        for group in template.groups:
+            for step in group.steps:
+                assert (step.source, step.target, step.message) in HOPS, step
+
+
+def test_no_record_call_spells_a_hop_inline():
+    # a new hop goes into the table; a literal at a call site would be
+    # a second copy nothing keeps in step with the templates
+    inline = []
+    for path in sorted(Path(twinarch.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "record"):
+                continue
+            args = node.args[:3] + [kw.value for kw in node.keywords
+                                    if kw.arg in ("source", "target",
+                                                  "message")]
+            if any(isinstance(arg, ast.JoinedStr)
+                   or (isinstance(arg, ast.Constant)
+                       and isinstance(arg.value, str)) for arg in args):
+                inline.append(f"{path.name}:{node.lineno}")
+    assert inline == []
 
 
 def test_trace_file_round_trip(tmp_path):
