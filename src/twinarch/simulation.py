@@ -1,14 +1,15 @@
 """Digital models and their execution engine.
 
 Each model kind supplies one kernel that runs a whole scenario in one
-call: ``simulate(params, rng, initial_state, inputs, horizon)`` returns
+call: ``simulate(params, seed, initial_state, inputs, horizon)`` returns
 one fresh state dict per step. ``inputs`` holds each scenario input as
 a series of exactly ``horizon`` floats; a series shorter than the
 horizon holds its last value, an empty one reads 0. Execution is
 deterministic for a fixed (spec, scenario, seed): the only randomness
-is the scenario seed, consumed by kinds that opt into noise. After the
-run, the first non-finite state value fails the scenario with a
-``NumericalFailure`` that carries the states before that step.
+is the scenario seed, which a kind seeds its own generator with only
+when it draws noise. After the run, the first non-finite state value
+fails the scenario with a ``NumericalFailure`` that carries the states
+before that step.
 
 The built-in ``traffic-flow`` kind tracks one state variable,
 ``density`` in [0, 1]:
@@ -29,6 +30,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from itertools import chain
 from typing import Callable
 
 from .clock import format_rfc3339
@@ -36,7 +38,7 @@ from .errors import (DuplicateModel, InvalidSpec, NotFound, NumericalFailure)
 from .storage import Namespace, RecordKey, SharedStorage
 
 State = dict[str, float]
-Kernel = Callable[[dict, random.Random, State, dict[str, list[float]], int],
+Kernel = Callable[[dict, int, State, dict[str, list[float]], int],
                   list[State]]
 
 
@@ -162,7 +164,7 @@ def _validate_traffic_params(params: dict) -> None:
             raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
 
 
-def _simulate_traffic(params: dict, rng: random.Random, initial_state: State,
+def _simulate_traffic(params: dict, seed: int, initial_state: State,
                       inputs: dict[str, list[float]], horizon: int,
                       ) -> list[State]:
     capacity = float(params["capacity"])
@@ -174,7 +176,7 @@ def _simulate_traffic(params: dict, rng: random.Random, initial_state: State,
     effective_capacity = capacity + sensitivity * extension
     inflows = inputs["inflow"] if "inflow" in inputs else [0.0] * horizon
     noisy = sigma > 0
-    gauss = rng.gauss
+    gauss = random.Random(seed).gauss if noisy else None
     density = initial_state.get("density", 0.0)
     states: list[State] = []
     append = states.append
@@ -274,15 +276,17 @@ def execute(spec: ModelSpec, scenario: SimScenario,
     params.update(scenario.overrides)
     kind = KIND_TABLE[spec.kind]
     initial: State = {k: float(v) for k, v in scenario.initial_state.items()}
-    series = kind.simulate(params, random.Random(scenario.seed), initial,
+    series = kind.simulate(params, scenario.seed, initial,
                            _held_inputs(scenario), scenario.horizon)
     isfinite = math.isfinite
-    for step, state in enumerate(series):
-        for name, value in state.items():
-            if not isfinite(value):
-                raise NumericalFailure(
-                    f"non-finite {name}={value!r} at step {step}",
-                    partial_series=tuple(series[:step]))
+    # one sweep over every value; the step loop finds the first failure
+    if not all(map(isfinite, chain.from_iterable(map(dict.values, series)))):
+        for step, state in enumerate(series):
+            for name, value in state.items():
+                if not isfinite(value):
+                    raise NumericalFailure(
+                        f"non-finite {name}={value!r} at step {step}",
+                        partial_series=tuple(series[:step]))
     objective = None
     if scenario.objective_metric is not None:
         objective = series[-1].get(scenario.objective_metric)

@@ -26,7 +26,8 @@ Journal line format, one JSON object per line:
      "body": ..., "revision": n, "committed_at": "..."}
 
 Deletions add `"op": "delete"` to the same shape; lines without `op`
-are writes.
+are writes. A line's bytes are exactly `json.dumps(line,
+sort_keys=True)`, written from the line's fixed parts.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ import bisect
 import heapq
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -52,6 +55,10 @@ class Namespace(Enum):
     STATES = "States"
     PLANS = "Plans"
     FEEDBACK = "Feedback"
+
+    # members are singletons; `Enum.__hash__` is Python code that
+    # every `RecordKey` hash would run
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -110,6 +117,69 @@ class Query:
             raise InvalidQuery(f"limit must be >= 1, got {self.limit}")
 
 
+# `json.dumps(..., sort_keys=True)` builds this encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_quote = json.encoder.encode_basestring_ascii
+_NAMESPACE_TEXT = {ns: _quote(ns.value) for ns in Namespace}
+
+
+def _encode_series(series: list) -> str | None:
+    """A state series as JSON text, or None when `series` is not one.
+
+    A state series is a non-empty list of one-key dicts that share one
+    `str` key and hold finite `float` values, such as a simulation's
+    `[{"density": 0.1}, ...]`. The generic encoder writes a finite
+    float as `float.__repr__`, so one join writes the same text."""
+    if not series or set(map(type, series)) != {dict}:
+        return None
+    names = set(itertools.chain.from_iterable(series))
+    # with one name in all, no dict has two keys; all() rules out {}
+    if len(names) != 1 or not all(series):
+        return None
+    (name,) = names
+    if type(name) is not str:
+        return None
+    values = list(map(itemgetter(name), series))
+    if (set(map(type, values)) != {float}
+            or not all(map(math.isfinite, values))):
+        return None
+    head = "{" + _quote(name) + ": "
+    return "[" + head + ("}, " + head).join(map(float.__repr__, values)) + "}]"
+
+
+def _encode_body(body: object) -> str:
+    """`body` as `json.dumps(body, sort_keys=True)` writes it."""
+    if type(body) is dict and list in map(type, body.values()):
+        series = {name: text for name, value in body.items()
+                  if type(value) is list
+                  and (text := _encode_series(value)) is not None}
+        if series and all(type(name) is str for name in body):
+            return "{" + ", ".join(
+                _quote(name) + ": " + (series[name] if name in series
+                                       else _ENCODER.encode(body[name]))
+                for name in sorted(body)) + "}"
+    return _ENCODER.encode(body)
+
+
+class _Stamp:
+    """The RFC 3339 text of the last instant given, formatted again
+    only when the instant changes. Wall times of one zone that differ
+    only in `fold` compare equal but are different instants."""
+
+    __slots__ = ("instant", "text")
+
+    def __init__(self) -> None:
+        self.instant: datetime | None = None
+        self.text = ""
+
+    def __call__(self, instant: datetime) -> str:
+        last = self.instant
+        if instant != last or instant.fold != last.fold:
+            self.text = format_rfc3339(instant)
+            self.instant = instant
+        return self.text
+
+
 class SharedStorage:
     """In-memory record store with journal and revisions."""
 
@@ -125,18 +195,27 @@ class SharedStorage:
         if self._journal_path is not None:
             self._journal_path.parent.mkdir(parents=True, exist_ok=True)
             self._journal_file = self._journal_path.open("a", encoding="utf-8")
+        # the lines of one tick, or of one payload, share their stamps
+        self._committed_at = _Stamp()
+        self._observed_at = _Stamp()
 
     # -- journal ------------------------------------------------------------
 
     def _journal(self, record: Record, op: str | None = None) -> None:
         if self._journal_file is None:
             return
-        line: dict = {"key": record.key.to_json(), "body": record.body,
-                      "revision": record.revision,
-                      "committed_at": format_rfc3339(self._clock())}
-        if op is not None:
-            line["op"] = op
-        self._journal_file.write(json.dumps(line, sort_keys=True) + "\n")
+        # the fields in sorted order, as json.dumps(line, sort_keys=True)
+        # writes them; a stamp is RFC 3339 text and needs no escaping
+        key = record.key
+        self._journal_file.write(
+            '{"body": ' + _encode_body(record.body)
+            + ', "committed_at": "' + self._committed_at(self._clock())
+            + '", "key": {"entity_id": ' + _quote(key.entity_id)
+            + ', "name": ' + _quote(key.name)
+            + ', "namespace": ' + _NAMESPACE_TEXT[key.namespace]
+            + ', "observed_at": "' + self._observed_at(key.observed_at)
+            + '"}' + ("" if op is None else ', "op": ' + _quote(op))
+            + ', "revision": ' + str(record.revision) + "}\n")
         self._journal_file.flush()
 
     @classmethod

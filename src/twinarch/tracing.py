@@ -74,8 +74,12 @@ def _describe_hop(source: str, target: str, message: str) -> str:
     return f"{source} -> {target}: {message}"
 
 
+# what `json.dumps(payload, sort_keys=True, default=str)` builds per call
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def payload_digest(payload: object) -> str:
-    canonical = json.dumps(payload, sort_keys=True, default=str)
+    canonical = _DIGEST_ENCODER.encode(payload)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -345,7 +349,6 @@ def _steps(*hops: Hop) -> tuple[TemplateStep, ...]:
 
 
 _INGEST_STEPS = _steps(hop.TRANSMIT_DATA, hop.STORE_DATA, hop.UPDATE_SHADOWS)
-_UPDATE_MODEL = TemplateStep(*hop.UPDATE_MODEL, optional=True)
 
 
 def monitoring_template() -> SequenceTemplate:
@@ -355,8 +358,9 @@ def monitoring_template() -> SequenceTemplate:
         groups=(
             StepGroup("ingest", _INGEST_STEPS, optional=True,
                       repeatable=True),
-            StepGroup("model", (_UPDATE_MODEL,) + _steps(
-                hop.EXECUTE_SIMULATION, hop.STORE_SIM_RESULT)),
+            StepGroup("model", (
+                TemplateStep(*hop.UPDATE_MODEL, optional=True),
+                *_steps(hop.EXECUTE_SIMULATION, hop.STORE_SIM_RESULT))),
             StepGroup("state", _steps(hop.COMPUTE_STATE, hop.STORE_STATE)),
             StepGroup("feedback", _steps(
                 hop.DELIVER_STATE, hop.EMIT_FEEDBACK, hop.DELIVER_FEEDBACK)),
@@ -372,11 +376,9 @@ def prediction_template() -> SequenceTemplate:
                       repeatable=True),
             StepGroup("forecast", _steps(hop.FORECAST, hop.PREDICTED_STATES)),
             StepGroup("deviation", _steps(hop.DEVIATION), optional=True),
-            StepGroup("whatif", (
-                *_steps(hop.GEN_SCENARIO, hop.NEW_SCENARIO_SIM),
-                _UPDATE_MODEL,
-                *_steps(hop.MODEL_EXECUTION, hop.STORE_WHATIF_RESULT),
-            ), optional=True, repeatable=True),
+            StepGroup("whatif", _steps(
+                hop.GEN_SCENARIO, hop.NEW_SCENARIO_SIM, hop.MODEL_EXECUTION,
+                hop.STORE_WHATIF_RESULT), optional=True, repeatable=True),
             StepGroup("plan_delivery", optional=True, steps=_steps(
                 hop.PLAN, hop.COMMAND_PLAN, hop.DELIVER_COMMANDS)),
             StepGroup("alert_delivery", optional=True, steps=_steps(

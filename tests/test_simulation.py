@@ -5,12 +5,16 @@ from __future__ import annotations
 import json
 import math
 import random
+import types
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from twinarch import simulation
+from twinarch.configs import load_manifest
 from twinarch.errors import (DuplicateModel, InvalidSpec, NotFound,
                              NumericalFailure)
+from twinarch.orchestrator import run_loop
 from twinarch.simulation import (KIND_TABLE, ModelEngine, ModelKind,
                                  ModelManager, ModelSpec, SimScenario,
                                  execute, validate_scenario, validate_spec)
@@ -192,6 +196,26 @@ def test_green_extension_strictly_lowers_density(inflow, start, horizon):
             base.state_series[0]["density"]
 
 
+def test_noise_free_prediction_run_builds_no_generator(repo_root,
+                                                       monkeypatch):
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(simulation, "random",
+                        types.SimpleNamespace(Random=CountingRandom))
+    manifest = load_manifest(
+        repo_root / "configs" / "demo" / "prediction" / "manifest.json",
+        loop="prediction")
+    _, manager = run_loop(manifest, "prediction")
+    manager.shutdown()
+    assert manager.storage.count(Namespace.SIM_RESULTS) > 0
+    assert built == []
+
+
 def test_objective_is_final_value_of_named_output():
     result = execute(traffic_spec(), scenario(objective_metric="density"),
                      completed_at=ts(0))
@@ -214,7 +238,7 @@ def test_short_series_holds_last_value_and_empty_reads_zero():
 
 # --- numerical failure via a test-only kind ----------------------------------
 
-def _simulate_diverging(params, rng, initial_state, inputs, horizon):
+def _simulate_diverging(params, seed, initial_state, inputs, horizon):
     # a product overflows to inf where 1e200 ** 2 raises OverflowError
     x = initial_state.get("x", 1.0)
     states = []
@@ -224,15 +248,30 @@ def _simulate_diverging(params, rng, initial_state, inputs, horizon):
     return states
 
 
+def _simulate_late_failure(params, seed, initial_state, inputs, horizon):
+    # every value finite but the second variable's at the last step
+    states = [{"x": float(step), "y": 1.0} for step in range(horizon)]
+    states[-1]["y"] = math.inf
+    return states
+
+
+def _test_kind(name, simulate) -> ModelKind:
+    return ModelKind(name=name, parameter_names=frozenset({"rate"}),
+                     required_parameters=frozenset(),
+                     validate=lambda params: None, simulate=simulate)
+
+
 @pytest.fixture
 def diverging_kind():
-    kind = ModelKind(
-        name="diverging-test",
-        parameter_names=frozenset({"rate"}),
-        required_parameters=frozenset(),
-        validate=lambda params: None,
-        simulate=_simulate_diverging,
-    )
+    kind = _test_kind("diverging-test", _simulate_diverging)
+    KIND_TABLE[kind.name] = kind
+    yield kind
+    KIND_TABLE.pop(kind.name, None)
+
+
+@pytest.fixture
+def late_failure_kind():
+    kind = _test_kind("late-failure-test", _simulate_late_failure)
     KIND_TABLE[kind.name] = kind
     yield kind
     KIND_TABLE.pop(kind.name, None)
@@ -246,6 +285,17 @@ def test_non_finite_state_raises_with_partial_series(diverging_kind):
     err = exc_info.value
     assert "step 1" in str(err)
     assert list(err.partial_series) == [{"x": 1e200}]
+
+
+def test_non_finite_second_variable_at_last_step_is_found(late_failure_kind):
+    spec = ModelSpec("l1", "late-failure-test", outputs=("x", "y"))
+    sc = SimScenario("s1", "l1", horizon=5)
+    with pytest.raises(NumericalFailure) as exc_info:
+        execute(spec, sc, completed_at=ts(0))
+    err = exc_info.value
+    assert str(err) == "non-finite y=inf at step 4"
+    assert list(err.partial_series) == [{"x": float(step), "y": 1.0}
+                                        for step in range(4)]
 
 
 # --- JSON round trips --------------------------------------------------------

@@ -1,16 +1,19 @@
-"""Shared storage: CRUD semantics, query oracle, journal replay, and a
-model-based check of the index against a plain dict."""
+"""Shared storage: CRUD semantics, query oracle, journal replay and line
+encoding, and a model-based check of the index against a plain dict."""
 
 from __future__ import annotations
 
 import json
+import math
 import tempfile
+from datetime import datetime, timedelta, timezone, tzinfo
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
+from twinarch.clock import format_rfc3339
 from twinarch.errors import DuplicateKey, InvalidQuery, NotFound
 from twinarch.storage import (Namespace, Query, Record, RecordKey,
                               SharedStorage)
@@ -172,6 +175,125 @@ def test_replay_skips_blank_lines_and_does_not_rejournal(tmp_path, epoch):
     assert replayed.count() == 1
     replayed.crud_create(key("extra"), 2)     # must not append to the file
     assert sum(1 for l in journal.read_text().splitlines() if l.strip()) == 1
+
+
+# --- journal line encoding -------------------------------------------------
+
+def reference_line(record: Record, committed_at: datetime,
+                   op: str | None = None) -> str:
+    """The line as one generic encoder call writes it."""
+    line: dict = {"key": record.key.to_json(), "body": record.body,
+                  "revision": record.revision,
+                  "committed_at": format_rfc3339(committed_at)}
+    if op is not None:
+        line["op"] = op
+    return json.dumps(line, sort_keys=True) + "\n"
+
+
+_text = st.text(max_size=6)     # non-ASCII and escapes included
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _text,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=12)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_any_number = (st.floats() | st.integers() | st.booleans()
+               | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _state_series(draw) -> list:
+    """One-key dicts sharing a name, sometimes broken: a value that is
+    not a finite float, an extra key or another name in one state."""
+    name = draw(_text)
+    values = draw(st.lists(_finite, min_size=1, max_size=6)
+                  | st.lists(_any_number, max_size=6))
+    series = [{name: value} for value in values]
+    if series and draw(st.booleans()):
+        state = draw(st.sampled_from(series))
+        if draw(st.booleans()):
+            state.clear()
+        state[draw(_text)] = draw(_finite)
+    return series
+
+
+_bodies = (_json_values
+           | st.dictionaries(_text, _state_series() | _json_values,
+                             max_size=4)
+           | st.dictionaries(st.integers(), _state_series(), max_size=2))
+_SERIES = [{"density": 0.25}, {"density": -0.0}, {"density": 1e-07}]
+
+
+@given(writes=st.lists(st.tuples(
+    st.builds(key, entity=_text, name=_text, t=st.integers(0, 3),
+              ns=st.sampled_from(Namespace)),
+    _bodies, st.integers(0, 3), st.booleans()), min_size=1, max_size=6))
+@example(writes=[(key(ns=Namespace.SIM_RESULTS), body, 0, False)
+                 for body in (
+                     {"series": _SERIES, "objective": 0.0, "name": "s\u00e9"},
+                     {"series": _SERIES + [{"density": math.nan}]},
+                     {"series": _SERIES + [{"density": 1}]},
+                     {"series": _SERIES + [{"density": True}]},
+                     {"series": _SERIES + [{"density": 0.5, "flow": 1.0}]},
+                     {"series": [], "b": [{}]})])
+def test_journal_line_is_the_generic_encoding(writes):
+    """Each written line is `json.dumps(line, sort_keys=True)`, for
+    writes, rewrites and deletes."""
+    expected = []
+    now = [ts(0)]
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "journal.jsonl"
+        store = SharedStorage(journal_path=journal, clock=lambda: now[0])
+        for k, body, committed, delete in writes:
+            now[0] = ts(committed)
+            record = Record(key=k, body=body, revision=store.upsert(k, body))
+            expected.append(reference_line(record, now[0]))
+            if delete:
+                store.crud_delete(k)
+                expected.append(reference_line(record, now[0], "delete"))
+        store.close()
+        assert journal.read_text(encoding="utf-8") == "".join(expected)
+
+
+class _FallBack(tzinfo):
+    """A zone whose clocks go back an hour at every wall time: fold 0
+    reads UTC+1, fold 1 reads UTC."""
+
+    def utcoffset(self, dt):
+        return timedelta(hours=0 if dt.fold else 1)
+
+    def dst(self, dt):
+        return timedelta(0)
+
+
+def test_journal_stamps_name_the_instant(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    now = [ts(0)]
+    store = SharedStorage(journal_path=journal, clock=lambda: now[0])
+    plus_two = ts(0).astimezone(timezone(timedelta(hours=2)))
+    zone = _FallBack()
+    wall = datetime(2024, 12, 10, 13, 0, tzinfo=zone)
+    # one instant at two offsets, then one wall time at two folds
+    for i, instant in enumerate([ts(0), plus_two, wall,
+                                 wall.replace(fold=1)]):
+        now[0] = instant
+        store.crud_create(key(name=f"n{i}", t=0), i)
+        store.crud_create(RecordKey(Namespace.STATES, "e1", f"n{i}",
+                                    instant), i)
+    naive = datetime(2024, 12, 10, 12, 0)
+    with pytest.raises(ValueError):
+        store.crud_create(RecordKey(Namespace.FEEDBACK, "e1", "n", naive), 0)
+    now[0] = naive
+    with pytest.raises(ValueError):
+        store.crud_create(key("e2"), 0)
+    store.close()
+    lines = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert [line["committed_at"] for line in lines[::2]] == [
+        "2024-12-10T12:00:00Z", "2024-12-10T12:00:00Z",
+        "2024-12-10T12:00:00Z", "2024-12-10T13:00:00Z"]
+    assert [line["key"]["observed_at"] for line in lines[1::2]] == [
+        "2024-12-10T12:00:00Z", "2024-12-10T12:00:00Z",
+        "2024-12-10T12:00:00Z", "2024-12-10T13:00:00Z"]
 
 
 # --- model-based check of the index ----------------------------------------

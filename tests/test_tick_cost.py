@@ -1,10 +1,10 @@
-"""Complexity gate: the work of one monitoring tick does not grow with
-the history held in the store.
+"""Complexity gates on one monitoring tick.
 
-Counts, not wall-clock time, so the gate holds on any machine: per
+Counts, not wall-clock time, so the gates hold on any machine: per
 tick, the records returned by `SharedStorage.crud_read` and
 `SharedStorage.latest` plus the trace points built by
-`ShadowManager.get_shadow`.
+`ShadowManager.get_shadow` do not grow with the history held in the
+store, and the journal formats each tick's shared stamps once.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 
+from twinarch import storage
 from twinarch.configs import load_manifest
 from twinarch.orchestrator import TwinManager
 from twinarch.shadows import ShadowManager
@@ -59,3 +60,28 @@ def test_work_per_monitoring_tick_stays_flat(repo_root, monkeypatch):
     assert len(output.feedbacks) == TICKS
     assert work[50] > 0
     assert work[400] == work[50], (work[50], work[400])
+
+
+def test_journal_formats_each_tick_stamp_once(repo_root, tmp_path,
+                                              monkeypatch):
+    # both stamps of a line change once a tick, and once more for the
+    # shadow descriptors written before the first tick
+    calls = []
+    format_rfc3339 = storage.format_rfc3339
+
+    def counted_format(dt):
+        calls.append(dt)
+        return format_rfc3339(dt)
+
+    monkeypatch.setattr(storage, "format_rfc3339", counted_format)
+    manifest = load_manifest(
+        repo_root / "configs" / "demo" / "monitoring" / "manifest.json")
+    manager = TwinManager(manifest, journal_path=tmp_path / "journal.jsonl")
+    try:
+        output = manager.run_monitoring()
+    finally:
+        manager.shutdown()
+    lines = (tmp_path / "journal.jsonl").read_text().splitlines()
+    assert len(lines) > 5 * output.ticks_run
+    assert len(calls) <= 2 * output.ticks_run + 2, (
+        len(calls), output.ticks_run)

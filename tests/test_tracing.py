@@ -255,12 +255,10 @@ def prediction_events(deviation=True, whatif=2, plan=True, alert=False):
              ("Predictor", "DeviationDetector", "predictedStates")]
     if deviation:
         steps.append(("DeviationDetector", "SolutionFinder", "deviation"))
-    for i in range(whatif):
+    for _ in range(whatif):
         steps += [("SolutionFinder", "ScenarioGenerator", "genScenario"),
-                  ("Planner", "TwinManager", "newScenarioSim")]
-        if i == 0:
-            steps.append(("TwinManager", "ModelManager", "updateModel"))
-        steps += [("ModelManager", "ModelEngine", "modelExecution"),
+                  ("Planner", "TwinManager", "newScenarioSim"),
+                  ("ModelManager", "ModelEngine", "modelExecution"),
                   ("ModelEngine", "DataManager", "storeSimResult")]
     if plan:
         steps += [("Planner", "FeedbackExecutor", "plan"),
