@@ -21,14 +21,14 @@ from pathlib import Path
 from .catalog import (catalog_to_json, check_traceability, iso_report,
                       load_catalog, traceability_report)
 from .clock import DEFAULT_EPOCH, format_rfc3339, parse_rfc3339
-from .configs import dtdl_interface, load_manifest, parse_bands, read_json
-from .errors import ConfigError, InvalidSpec, ParseError, TwinArchError
+from .configs import (dtdl_interface, load_manifest, model_spec, parse_bands,
+                      read_json, sim_scenario)
+from .errors import ConfigError, ParseError, TwinArchError
 from .orchestrator import run_loop
 from .services import (FORECAST_METHODS, PredictorConfig, Predictor,
                        DeviationDetector)
 from .shadows import ShadowManager
-from .simulation import (ModelSpec, SimScenario, execute, validate_scenario,
-                         validate_spec)
+from .simulation import execute
 from .storage import Namespace, Query, SharedStorage
 from .wire import Source
 from .adapters import AdapterConfig, Direction, P2DAdapter, parse_payload
@@ -289,13 +289,8 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
                 "scenario file has no embedded model; pass --model spec.json")
         spec_doc = read_json(Path(args.model), "model file")
         scenario_doc = doc
-    try:
-        spec = ModelSpec.from_json(spec_doc)
-        scenario = SimScenario.from_json(scenario_doc)
-        validate_spec(spec)
-        validate_scenario(scenario, spec)
-    except (KeyError, TypeError, ValueError, InvalidSpec) as exc:
-        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
+    spec = model_spec(spec_doc, "model")
+    scenario = sim_scenario(scenario_doc, "scenario", spec)
     completed_at = scenario.base_time or DEFAULT_EPOCH
     result = execute(spec, scenario, completed_at=completed_at)
     _print_json({

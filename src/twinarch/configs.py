@@ -5,7 +5,9 @@ wiring, deviation thresholds, and the candidate catalog. Each section
 can be inline JSON or a path string, resolved relative to the manifest
 file. Validation is strict and happens before any run starts; every
 problem, a key that nothing reads included, raises ConfigError with
-the offending path. Defaults live in the dataclasses built here.
+the offending path. Defaults live in the dataclasses built here. A
+model or scenario document, in a manifest or for `twinarch sim run`,
+is read the same way and validated as it loads.
 
     {"harness": {...} | "harness.json",
      "run": {...} | "run.json",
@@ -22,12 +24,14 @@ from pathlib import Path
 from typing import Callable
 
 from .adapters import AdapterConfig, Direction
-from .errors import ConfigError, SchemaViolation
+from .clock import parse_rfc3339
+from .errors import ConfigError, InvalidSpec, SchemaViolation
 from .harness import Fault, FaultKind, HarnessConfig
 from .services import (FORECAST_METHODS, Band, CandidateSolution, Action,
                        FeedbackConfig, PredictorConfig, SimulationSettings)
 from .shadows import ShadowType
-from .simulation import ModelSpec
+from .simulation import (ModelSpec, SimScenario, validate_scenario,
+                         validate_spec)
 from .tracing import SequenceTemplate
 from .wire.common import Source
 from .wire.dtdl import parse_model
@@ -86,6 +90,21 @@ def _texts(value: object) -> tuple[str, ...]:
     return tuple(_text(item) for item in _list(value))
 
 
+def _mapping(convert: Callable[[object], object]
+             ) -> Callable[[object], dict]:
+    """A converter for an object whose values each go through
+    `convert`; a refused value names its key."""
+    def check(value: object) -> dict:
+        fields = {}
+        for key, item in _object(value).items():
+            try:
+                fields[key] = convert(item)
+            except (TypeError, ValueError) as exc:
+                raise type(exc)(f"{key}: {exc}") from exc
+        return fields
+    return check
+
+
 def _items(value: object, where: str,
            parse: Callable[[object, str], object]) -> tuple:
     """`parse(item, path)` for each item of a manifest list."""
@@ -101,6 +120,43 @@ def read_json(path: Path, what: str) -> object:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
+# numbers pass through unconverted, so a stored copy writes the same bytes
+_numbers = _mapping(_number)
+_MODEL = {"model_id": _text, "kind": _text, "parameters": _numbers,
+          "inputs": _texts, "outputs": _texts, "version": _int}
+_SCENARIO = {"scenario_id": _text, "model_id": _text,
+             "initial_state": _numbers,
+             "input_series": _mapping(
+                 lambda value: [_number(item) for item in _list(value)]),
+             "horizon": _int, "step_size": _number, "overrides": _numbers,
+             "seed": _int, "entity_id": _text, "objective_metric": _text,
+             "base_time": lambda value: parse_rfc3339(_text(value))}
+
+
+def model_spec(doc: object, where: str) -> ModelSpec:
+    """A model document, with every key `ModelSpec.to_json` writes,
+    checked against its kind."""
+    spec = ModelSpec(**_fields(doc, where, _MODEL,
+                               required=("model_id", "kind")))
+    try:
+        validate_spec(spec)
+    except InvalidSpec as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return spec
+
+
+def sim_scenario(doc: object, where: str, spec: ModelSpec) -> SimScenario:
+    """A scenario document, with every key `SimScenario.to_json`
+    writes, checked against the model it runs on."""
+    scenario = SimScenario(**_fields(doc, where, _SCENARIO,
+                                     required=("scenario_id", "model_id")))
+    try:
+        validate_scenario(scenario, spec)
+    except InvalidSpec as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -233,7 +289,7 @@ def _parse_run(doc: dict) -> RunConfig:
     where = "run"
     fields = _fields(doc, where, {
         "entity_id": _text,
-        "model": lambda value: ModelSpec.from_json(_object(value)),
+        "model": lambda value: model_spec(value, f"{where}.model"),
         "sim": lambda value: _fields(value, f"{where}.sim", _SIM),
         "predictor": lambda value: PredictorConfig(
             **_fields(value, f"{where}.predictor", _PREDICTOR)),

@@ -64,14 +64,14 @@ class InvalidQuery(TwinArchError):
     """Query constraints are internally inconsistent (e.g. from >= to)."""
 
 
+class JournalCorrupt(TwinArchError):
+    """A complete journal line is not a record; names the line number."""
+
+
 # --- shadows / models ------------------------------------------------------
 
 class DuplicateShadow(TwinArchError):
     """A shadow already exists for this (type, entity) pair."""
-
-
-class DuplicateModel(TwinArchError):
-    """A model with this id is already registered."""
 
 
 class InvalidSpec(TwinArchError):

@@ -23,7 +23,7 @@ from pathlib import Path
 from .adapters import AdapterConfig, D2PAdapter, Direction, P2DAdapter
 from .clock import DEFAULT_EPOCH, LogicalClock
 from .configs import Manifest
-from .errors import NoFeasibleSolution, ParseError, TwinArchError
+from .errors import NoFeasibleSolution, ParseError
 from .harness import PhysicalHarness
 from .services import (Deviation, DeviationDetector, Feedback,
                        FeedbackExecutor, Plan, Predictor, ScenarioGenerator,
@@ -110,16 +110,11 @@ class TwinManager:
         self._push_model()
         scenario_id = self.engine.scenario_sim(scenario)
         self.tracer.record(*hop.MODEL_EXECUTION, {"scenario_id": scenario_id})
-        self.engine.drain()
-        status = self.engine.get_sim_state(scenario_id)
-        if status.status != "completed" or status.result is None:
-            raise TwinArchError(
-                f"scenario {scenario_id} did not complete: "
-                f"{status.status} ({status.error})")
+        (result,) = self.engine.drain()
         self.tracer.record(*hop.STORE_WHATIF_RESULT,
                            {"scenario_id": scenario_id,
-                            "objective": status.result.objective})
-        return status.result.objective
+                            "objective": result.objective})
+        return result.objective
 
     def _push_model(self) -> None:
         if self._model_pushed:

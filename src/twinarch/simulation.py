@@ -34,7 +34,7 @@ from itertools import chain
 from typing import Callable
 
 from .clock import format_rfc3339
-from .errors import (DuplicateModel, InvalidSpec, NotFound, NumericalFailure)
+from .errors import InvalidSpec, NotFound, NumericalFailure
 from .storage import Namespace, RecordKey, SharedStorage
 
 State = dict[str, float]
@@ -60,14 +60,6 @@ class ModelSpec:
                 "parameters": dict(self.parameters),
                 "inputs": list(self.inputs), "outputs": list(self.outputs),
                 "version": self.version}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ModelSpec":
-        return cls(model_id=doc["model_id"], kind=doc["kind"],
-                   parameters=dict(doc.get("parameters", {})),
-                   inputs=tuple(doc.get("inputs", ())),
-                   outputs=tuple(doc.get("outputs", ())),
-                   version=int(doc.get("version", 1)))
 
 
 @dataclass(frozen=True)
@@ -100,22 +92,6 @@ class SimScenario:
             doc["base_time"] = format_rfc3339(self.base_time)
         return doc
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "SimScenario":
-        from .clock import parse_rfc3339
-        base_time = doc.get("base_time")
-        return cls(scenario_id=doc["scenario_id"], model_id=doc["model_id"],
-                   initial_state=dict(doc.get("initial_state", {})),
-                   input_series={k: list(v) for k, v in
-                                 doc.get("input_series", {}).items()},
-                   horizon=int(doc.get("horizon", 1)),
-                   step_size=float(doc.get("step_size", 1.0)),
-                   overrides=dict(doc.get("overrides", {})),
-                   seed=int(doc.get("seed", 0)),
-                   entity_id=doc.get("entity_id"),
-                   objective_metric=doc.get("objective_metric"),
-                   base_time=parse_rfc3339(base_time) if base_time else None)
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -123,16 +99,6 @@ class SimResult:
     state_series: tuple[State, ...]
     objective: float | None
     completed_at: datetime
-
-
-@dataclass
-class SimStatus:
-    scenario_id: str
-    status: str                     # queued | completed | failed
-    step: int = 0
-    latest_state: State | None = None
-    result: SimResult | None = None
-    error: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +114,24 @@ class ModelKind:
     simulate: Kernel
 
 
+def _is_number(value: object) -> bool:
+    # JSON true and false are not numbers, though Python's bool is an int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_traffic_params(params: dict) -> None:
     capacity = params.get("capacity")
-    if not isinstance(capacity, (int, float)) or capacity <= 0:
+    if not _is_number(capacity) or capacity <= 0:
         raise InvalidSpec(f"capacity must be > 0, got {capacity!r}")
     scale = params.get("capacity_scale", capacity)
-    if not isinstance(scale, (int, float)) or scale <= 0:
+    if not _is_number(scale) or scale <= 0:
         raise InvalidSpec(f"capacity_scale must be > 0, got {scale!r}")
     sigma = params.get("noise_sigma", 0.0)
-    if not isinstance(sigma, (int, float)) or sigma < 0:
+    if not _is_number(sigma) or sigma < 0:
         raise InvalidSpec(f"noise_sigma must be >= 0, got {sigma!r}")
     for name in ("inflow_gain", "green_sensitivity", "green_extension"):
         value = params.get(name, 0.0)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not _is_number(value) or not math.isfinite(value):
             raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
 
 
@@ -300,32 +271,20 @@ def execute(spec: ModelSpec, scenario: SimScenario,
 # ---------------------------------------------------------------------------
 
 class ModelManager:
-    """Registry of model specs with versioned updates."""
+    """Registry of model specs; each write of a model is a new version."""
 
     def __init__(self) -> None:
         self._models: dict[str, ModelSpec] = {}
 
-    def create_model(self, spec: ModelSpec) -> ModelSpec:
-        validate_spec(spec)
-        if spec.model_id in self._models:
-            raise DuplicateModel(f"model {spec.model_id!r} already exists")
-        spec = replace(spec, version=1)
-        self._models[spec.model_id] = spec
-        return spec
-
-    def update_model(self, spec: ModelSpec) -> ModelSpec:
+    def upsert_model(self, spec: ModelSpec) -> ModelSpec:
+        """Validate and register `spec` at version 1, or at the current
+        version + 1 when its id is registered."""
         validate_spec(spec)
         current = self._models.get(spec.model_id)
-        if current is None:
-            raise NotFound(f"no model {spec.model_id!r}")
-        spec = replace(spec, version=current.version + 1)
+        spec = replace(spec, version=1 if current is None
+                       else current.version + 1)
         self._models[spec.model_id] = spec
         return spec
-
-    def upsert_model(self, spec: ModelSpec) -> ModelSpec:
-        if spec.model_id in self._models:
-            return self.update_model(spec)
-        return self.create_model(spec)
 
     def get_model(self, model_id: str) -> ModelSpec:
         spec = self._models.get(model_id)
@@ -336,7 +295,8 @@ class ModelManager:
 
 class ModelEngine:
     """Scenario executor that runs everything on the caller's thread;
-    callers must not share it across threads.
+    callers must not share it across threads. It keeps no state per
+    scenario.
 
     `model_execution` runs one scenario and returns its result;
     `scenario_sim` queues one and `drain` runs the queue in submission
@@ -350,26 +310,12 @@ class ModelEngine:
         self.storage = storage
         self._clock = clock
         self._queue: deque[SimScenario] = deque()
-        self._status: dict[str, SimStatus] = {}
 
     def model_execution(self, scenario: SimScenario) -> SimResult:
         """Validate and run one scenario to completion, then store it."""
         spec = self.manager.get_model(scenario.model_id)
         validate_scenario(scenario, spec)
-        scenario_id = scenario.scenario_id
-        try:
-            result = execute(spec, scenario, completed_at=self._clock())
-        except NumericalFailure as exc:
-            partial = exc.partial_series
-            self._status[scenario_id] = SimStatus(
-                scenario_id=scenario_id, status="failed", step=len(partial),
-                latest_state=dict(partial[-1]) if partial else None,
-                error=str(exc))
-            raise
-        self._status[scenario_id] = SimStatus(
-            scenario_id=scenario_id, status="completed",
-            step=scenario.horizon, latest_state=dict(result.state_series[-1]),
-            result=result)
+        result = execute(spec, scenario, completed_at=self._clock())
         self._store_result(spec, scenario, result)
         return result
 
@@ -389,28 +335,15 @@ class ModelEngine:
             "completed_at": format_rfc3339(result.completed_at)})
 
     def scenario_sim(self, scenario: SimScenario) -> str:
-        """Validate and queue a scenario; `drain` runs it."""
-        spec = self.manager.get_model(scenario.model_id)
-        validate_scenario(scenario, spec)
-        self._status[scenario.scenario_id] = SimStatus(
-            scenario_id=scenario.scenario_id, status="queued")
+        """Queue a scenario; `drain` validates and runs it."""
         self._queue.append(scenario)
         return scenario.scenario_id
 
-    def get_sim_state(self, scenario_id: str) -> SimStatus:
-        status = self._status.get(scenario_id)
-        if status is None:
-            raise NotFound(f"no scenario {scenario_id!r}")
-        return status
-
-    def drain(self) -> None:
-        """Run every queued scenario, oldest first. A scenario that
-        fails is marked failed and the ones behind it still run."""
+    def drain(self) -> list[SimResult]:
+        """Run every queued scenario, oldest first, and return their
+        results in that order. A failure propagates, and the scenarios
+        behind the failed one stay queued."""
+        results = []
         while self._queue:
-            scenario = self._queue.popleft()
-            try:
-                self.model_execution(scenario)
-            except Exception as exc:    # reported through the status
-                status = self._status[scenario.scenario_id]
-                status.status = "failed"
-                status.error = str(exc)
+            results.append(self.model_execution(self._queue.popleft()))
+        return results

@@ -36,6 +36,7 @@ import bisect
 import heapq
 import itertools
 import json
+import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -45,7 +46,9 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .clock import format_rfc3339, parse_rfc3339
-from .errors import DuplicateKey, InvalidQuery, NotFound
+from .errors import DuplicateKey, InvalidQuery, JournalCorrupt, NotFound
+
+log = logging.getLogger("twinarch.storage")
 
 
 class Namespace(Enum):
@@ -221,28 +224,39 @@ class SharedStorage:
     @classmethod
     def replay(cls, journal_path: str | Path,
                clock: Callable[[], datetime] | None = None) -> "SharedStorage":
-        """Rebuild a store from its journal. The copy does not re-journal."""
+        """Rebuild a store from its journal. The copy does not re-journal.
+
+        A final line without its newline was torn by a crash mid-write:
+        it is dropped with a warning. Any other line that is not a
+        record raises `JournalCorrupt` naming its line number."""
         store = cls(journal_path=None, clock=clock)
         # the lines of one tick share a stamp, so each is parsed once
         stamps: dict[str, datetime] = {}
         with open(journal_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for number, line in enumerate(fh, 1):
+                if line[-1] != "\n":
+                    log.warning("%s: dropped a torn final line of %d bytes",
+                                journal_path, len(line.encode("utf-8")))
+                    break
+                if line.isspace():
                     continue
-                doc = json.loads(line)
-                key = RecordKey.from_json(doc["key"], stamps)
-                present = key in store._records
-                if doc.get("op") == "delete":
+                try:
+                    doc = json.loads(line)
+                    key = RecordKey.from_json(doc["key"], stamps)
+                    present = key in store._records
+                    if doc.get("op") == "delete":
+                        if present:
+                            store._remove(key)
+                        continue
+                    record = Record(key=key, body=doc["body"],
+                                    revision=doc["revision"])
                     if present:
-                        store._remove(key)
-                    continue
-                record = Record(key=key, body=doc["body"],
-                                revision=doc["revision"])
-                if present:
-                    store._records[key] = record
-                else:
-                    store._insert(record)
+                        store._records[key] = record
+                    else:
+                        store._insert(record)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise JournalCorrupt(
+                        f"{journal_path}: line {number}: {exc!r}") from exc
         return store
 
     def close(self) -> None:

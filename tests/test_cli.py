@@ -300,20 +300,33 @@ def test_sim_run_without_model_is_a_config_error(tmp_path):
     assert main(["sim", "run", "--scenario", str(scenario)]) == 2
 
 
-@pytest.mark.parametrize("section,change", [
-    ("scenario", {"horizon": 0}),
-    ("scenario", {"overrides": {"capacity": 0}}),
-    ("scenario", {"input_series": {"nitrogen": [1.0]},
-                  "overrides": {"bogus": 1.0}}),
-    ("scenario", {"initial_state": {"density": float("nan")}}),
-    ("model", {"kind": None}),
-], ids=["horizon-0", "zero-capacity", "unknown-names", "nan-initial-state",
-        "model-without-kind"])
+# a None value stands for a key left out
+REJECTED = [
+    ("horizon-0", "scenario", {"horizon": 0}),
+    ("zero-capacity", "scenario", {"overrides": {"capacity": 0}}),
+    ("unknown-names", "scenario", {"input_series": {"nitrogen": [1.0]},
+                                   "overrides": {"bogus": 1.0}}),
+    ("nan-initial-state", "scenario",
+     {"initial_state": {"density": float("nan")}}),
+    ("model-without-kind", "model", {"kind": None}),
+    # both documents are read as strictly as a manifest
+    ("model-unknown-key", "model", {"colour": "red"}),
+    ("model-version-string", "model", {"version": "3"}),
+    ("model-version-float", "model", {"version": 2.7}),
+    ("model-capacity-bool", "model", {"parameters": {
+        **SPEC_DOC["parameters"], "capacity": True}}),
+    ("scenario-horizon-float", "scenario", {"horizon": 2.7}),
+    ("scenario-seed-string", "scenario", {"seed": "4"}),
+    ("scenario-unknown-key", "scenario", {"colour": "red"}),
+]
+
+
+@pytest.mark.parametrize("section,change", [row[1:] for row in REJECTED],
+                         ids=[row[0] for row in REJECTED])
 def test_sim_run_rejects_an_invalid_scenario(tmp_path, capsys, section,
                                              change):
     doc = {"model": dict(SPEC_DOC), "scenario": dict(SCENARIO_DOC)}
     doc[section].update(change)
-    # a None value stands for a key left out
     doc[section] = {k: v for k, v in doc[section].items() if v is not None}
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
@@ -332,6 +345,33 @@ def test_sim_run_rejects_an_unreadable_scenario_file(tmp_path, capsys,
         scenario.write_text(content, encoding="utf-8")
     assert main(["sim", "run", "--scenario", str(scenario)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_sim_run_reproduces_the_stored_what_if_results(tmp_path, repo_root,
+                                                      capsys):
+    # what the runtime writes, the strict readers read back
+    manifest = write_manifest(tmp_path, repo_root, name="prediction")
+    assert main(["run", "--loop", "prediction",
+                 "--config", str(manifest)]) == 0
+    capsys.readouterr()
+    assert main(["store", "dump", "--namespace", "SimResults", "--journal",
+                 str(tmp_path / "out" / "journal.jsonl")]) == 0
+    bodies = [json.loads(line)["body"]
+              for line in capsys.readouterr().out.splitlines()]
+    assert len(bodies) == 3
+    for index, body in enumerate(bodies):
+        embedded = tmp_path / f"result{index}.json"
+        embedded.write_text(json.dumps(body), encoding="utf-8")
+        assert main(["sim", "run", "--scenario", str(embedded)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["series"] == body["series"]
+        assert doc["objective"] == body["objective"]
+    model, scenario = tmp_path / "model.json", tmp_path / "scenario.json"
+    model.write_text(json.dumps(body["model"]), encoding="utf-8")
+    scenario.write_text(json.dumps(body["scenario"]), encoding="utf-8")
+    assert main(["sim", "run", "--scenario", str(scenario),
+                 "--model", str(model)]) == 0
+    assert json.loads(capsys.readouterr().out)["series"] == body["series"]
 
 
 # -- run ---------------------------------------------------------------------------
@@ -449,6 +489,37 @@ def run_journal(tmp_path, repo_root, capsys):
                  "--config", str(manifest)]) == 0
     capsys.readouterr()
     return tmp_path / "out" / "journal.jsonl"
+
+
+def test_store_dump_drops_a_torn_tail(run_journal, tmp_path, capsys,
+                                      caplog):
+    data = run_journal.read_bytes()
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(data[:-10])
+    tail = len(data) - 10 - (data.rindex(b"\n", 0, len(data) - 10) + 1)
+    assert main(["store", "dump", "--journal", str(torn),
+                 "--namespace", "Feedback"]) == 0
+    dumped = capsys.readouterr().out.splitlines()
+    assert main(["store", "dump", "--journal", str(run_journal),
+                 "--namespace", "Feedback"]) == 0
+    # the journal's last line is the last tick's feedback
+    assert dumped == capsys.readouterr().out.splitlines()[:-1]
+    (warning,) = caplog.records
+    assert warning.getMessage() == \
+        f"{torn}: dropped a torn final line of {tail} bytes"
+
+
+def test_store_dump_of_a_corrupt_line_exits_4(run_journal, tmp_path, capsys):
+    lines = run_journal.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2][:20] + "\n"
+    corrupt = tmp_path / "corrupt.jsonl"
+    corrupt.write_text("".join(lines), encoding="utf-8")
+    assert main(["store", "dump", "--journal", str(corrupt),
+                 "--namespace", "Measurements"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: JournalCorrupt: {corrupt}: line 3: ")
 
 
 def test_shadow_get_over_a_run_journal(run_journal, capsys):

@@ -244,6 +244,23 @@ REJECTED = [
      "monitoring"),
     ("band-edge-bool", variant(**{"thresholds.bands": {
         "density": {"lo": False, "hi": 0.7}}}), "prediction"),
+    # the model is read as strictly as the rest, and checked at load
+    ("model-unknown-key", variant(**{"run.model.colour": "red"}),
+     "monitoring"),
+    ("model-version-string", variant(**{"run.model.version": "3"}),
+     "monitoring"),
+    ("model-version-float", variant(**{"run.model.version": 2.7}),
+     "monitoring"),
+    ("model-capacity-bool", variant(**{"run.model.parameters.capacity":
+                                       True}), "monitoring"),
+    ("model-capacity-string", variant(**{"run.model.parameters.capacity":
+                                         "30"}), "monitoring"),
+    ("model-inputs-not-list", variant(**{"run.model.inputs": "inflow"}),
+     "monitoring"),
+    ("model-unknown-kind", variant(**{"run.model.kind": "warp-drive"}),
+     "monitoring"),
+    ("model-unknown-parameter", variant(**{"run.model.parameters.lanes": 2}),
+     "monitoring"),
     # a misspelt key at each manifest level
     ("unknown-manifest-key", variant(output_dri="x"), "monitoring"),
     ("unknown-harness-key", variant(**{"harness.lateny": 2}), "monitoring"),

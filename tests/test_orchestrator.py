@@ -7,7 +7,9 @@ import threading
 
 import pytest
 
+from twinarch import simulation
 from twinarch.configs import load_manifest
+from twinarch.errors import NumericalFailure
 from twinarch.harness import Fault, FaultKind
 from twinarch.orchestrator import TwinManager, run_loop
 from twinarch.services import Band, Provenance, Severity
@@ -148,6 +150,23 @@ def test_prediction_healthy_run_skips_the_whatif_branch(repo_root):
         messages = {e.message for e in output.tracer.events}
         assert "genScenario" not in messages
         assert "deviation" not in messages
+    finally:
+        manager.shutdown()
+
+
+def test_a_failing_whatif_scenario_ends_the_run_with_its_error(
+        repo_root, monkeypatch):
+    def diverge(spec, scenario, completed_at):
+        raise NumericalFailure(f"{scenario.scenario_id} diverged")
+
+    monkeypatch.setattr(simulation, "execute", diverge)
+    manager = TwinManager(demo_manifest(repo_root, "prediction",
+                                        "prediction"))
+    try:
+        with pytest.raises(NumericalFailure, match="diverged"):
+            manager.run_prediction()
+        assert manager.tracer.events[-1].message == "modelExecution"
+        assert manager.storage.count(Namespace.SIM_RESULTS) == 0
     finally:
         manager.shutdown()
 

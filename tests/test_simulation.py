@@ -6,14 +6,14 @@ import json
 import math
 import random
 import types
+import weakref
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from twinarch import simulation
-from twinarch.configs import load_manifest
-from twinarch.errors import (DuplicateModel, InvalidSpec, NotFound,
-                             NumericalFailure)
+from twinarch.configs import load_manifest, model_spec, sim_scenario
+from twinarch.errors import InvalidSpec, NotFound, NumericalFailure
 from twinarch.orchestrator import run_loop
 from twinarch.simulation import (KIND_TABLE, ModelEngine, ModelKind,
                                  ModelManager, ModelSpec, SimScenario,
@@ -302,12 +302,13 @@ def test_non_finite_second_variable_at_last_step_is_found(late_failure_kind):
 
 def test_spec_and_scenario_round_trip_json():
     spec = traffic_spec()
-    assert ModelSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+    assert model_spec(json.loads(json.dumps(spec.to_json())), "m") == spec
     sc = scenario(entity_id="TLF01", objective_metric="density",
                   base_time=ts(7), overrides={"green_extension": 20.0},
                   seed=42)
-    assert SimScenario.from_json(json.loads(json.dumps(sc.to_json()))) == sc
-    minimal = SimScenario.from_json({"scenario_id": "a", "model_id": "b"})
+    assert sim_scenario(json.loads(json.dumps(sc.to_json())), "s",
+                        spec) == sc
+    minimal = sim_scenario({"scenario_id": "a", "model_id": "b"}, "s", spec)
     assert minimal.horizon == 1 and minimal.base_time is None
 
 
@@ -315,18 +316,15 @@ def test_spec_and_scenario_round_trip_json():
 
 def test_manager_versions_models():
     mgr = ModelManager()
-    created = mgr.create_model(traffic_spec())
-    assert created.version == 1
-    with pytest.raises(DuplicateModel):
-        mgr.create_model(traffic_spec())
-    updated = mgr.update_model(traffic_spec(capacity=40.0))
+    assert mgr.upsert_model(traffic_spec()).version == 1
+    updated = mgr.upsert_model(traffic_spec(capacity=40.0))
     assert updated.version == 2
     assert mgr.get_model("m1").parameters["capacity"] == 40.0
     with pytest.raises(NotFound):
         mgr.get_model("ghost")
-    with pytest.raises(NotFound):
-        mgr.update_model(ModelSpec("ghost", "traffic-flow",
-                                   {"capacity": 1.0}))
+    with pytest.raises(InvalidSpec):
+        mgr.upsert_model(traffic_spec(capacity=0.0))
+    assert mgr.get_model("m1").version == 2
     assert mgr.upsert_model(traffic_spec()).version == 3
 
 
@@ -335,7 +333,7 @@ def test_manager_versions_models():
 @pytest.fixture
 def engine():
     manager = ModelManager()
-    manager.create_model(traffic_spec())
+    manager.upsert_model(traffic_spec())
     storage = SharedStorage()
     return ModelEngine(manager, storage, clock=lambda: ts(9)), storage
 
@@ -345,10 +343,7 @@ def test_sync_execution_stores_result(engine):
     sc = scenario(entity_id="TLF01", objective_metric="density",
                   base_time=ts(3))
     result = eng.model_execution(sc)
-    status = eng.get_sim_state("s1")
-    assert status.status == "completed"
-    assert status.step == sc.horizon
-    assert status.latest_state == dict(result.state_series[-1])
+    assert len(result.state_series) == sc.horizon
     (rec,) = storage.crud_read(Query(namespace=Namespace.SIM_RESULTS))
     assert rec.key.entity_id == "TLF01"
     assert rec.key.name == "s1"
@@ -360,39 +355,60 @@ def test_sync_execution_stores_result(engine):
     assert len(rec.body["series"]) == sc.horizon
 
 
-def test_async_scenarios_complete_in_submission_order(tmp_path):
+def test_engine_keeps_no_result_alive(engine):
+    eng, storage = engine
+    direct = weakref.ref(eng.model_execution(scenario()))
+    eng.scenario_sim(scenario(scenario_id="queued"))
+    (result,) = eng.drain()
+    drained = weakref.ref(result)
+    del result
+    assert direct() is None and drained() is None
+    assert storage.count(Namespace.SIM_RESULTS) == 2
+
+
+def test_drain_returns_results_in_submission_order(tmp_path):
     manager = ModelManager()
-    manager.create_model(traffic_spec())
+    manager.upsert_model(traffic_spec())
     journal = tmp_path / "journal.jsonl"
     storage = SharedStorage(journal_path=journal, clock=lambda: ts(9))
     eng = ModelEngine(manager, storage, clock=lambda: ts(9))
     # ids whose sort order differs from the submission order
     submitted = ["q3", "q0", "q4", "q1", "q2"]
     for scenario_id in submitted:
-        eng.scenario_sim(scenario(scenario_id=scenario_id))
-    assert all(eng.get_sim_state(s).status == "queued" for s in submitted)
+        assert eng.scenario_sim(scenario(scenario_id=scenario_id)) == \
+            scenario_id
     assert storage.count(Namespace.SIM_RESULTS) == 0
-    eng.drain()
+    results = eng.drain()
     storage.close()
+    assert [r.scenario_id for r in results] == submitted
     committed = [line["key"]["name"] for line in map(
         json.loads, journal.read_text(encoding="utf-8").splitlines())
         if line["key"]["namespace"] == "SimResults"]
     assert committed == submitted
-    assert all(eng.get_sim_state(s).status == "completed" for s in submitted)
-    with pytest.raises(NotFound):
-        eng.get_sim_state("never-submitted")
+    assert eng.drain() == []
 
 
-def test_async_failure_keeps_worker_alive(engine, diverging_kind):
+def test_drain_propagates_a_numerical_failure(engine, diverging_kind):
     eng, storage = engine
-    eng.manager.create_model(ModelSpec("d1", "diverging-test", outputs=("x",)))
+    eng.manager.upsert_model(ModelSpec("d1", "diverging-test",
+                                       outputs=("x",)))
+    eng.scenario_sim(scenario(scenario_id="first"))
     eng.scenario_sim(SimScenario("bad", "d1", initial_state={"x": 1.0},
                                  horizon=5))
-    eng.scenario_sim(scenario(scenario_id="good"))
-    eng.drain()
-    bad = eng.get_sim_state("bad")
-    assert bad.status == "failed"
-    assert "non-finite" in (bad.error or "")
+    eng.scenario_sim(scenario(scenario_id="behind"))
+    with pytest.raises(NumericalFailure) as exc_info:
+        eng.drain()
     # the steps that ran before the failure
-    assert bad.step == 1 and bad.latest_state == {"x": 1e200}
-    assert eng.get_sim_state("good").status == "completed"
+    assert list(exc_info.value.partial_series) == [{"x": 1e200}]
+    # the scenario before the failure is stored; the one behind waits
+    (stored,) = storage.crud_read(Query(namespace=Namespace.SIM_RESULTS))
+    assert stored.key.name == "first"
+    assert [r.scenario_id for r in eng.drain()] == ["behind"]
+
+
+def test_an_invalid_scenario_is_refused_when_it_runs(engine):
+    eng, storage = engine
+    assert eng.scenario_sim(scenario(horizon=0)) == "s1"
+    with pytest.raises(InvalidSpec):
+        eng.drain()
+    assert storage.count(Namespace.SIM_RESULTS) == 0

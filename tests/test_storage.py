@@ -4,7 +4,9 @@ encoding, and a model-based check of the index against a plain dict."""
 from __future__ import annotations
 
 import json
+import logging
 import math
+import os
 import tempfile
 from datetime import datetime, timedelta, timezone, tzinfo
 from pathlib import Path
@@ -14,7 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from twinarch.clock import format_rfc3339
-from twinarch.errors import DuplicateKey, InvalidQuery, NotFound
+from twinarch.configs import load_manifest
+from twinarch.errors import (DuplicateKey, InvalidQuery, JournalCorrupt,
+                             NotFound)
+from twinarch.orchestrator import run_loop
 from twinarch.storage import (Namespace, Query, Record, RecordKey,
                               SharedStorage)
 
@@ -175,6 +180,75 @@ def test_replay_skips_blank_lines_and_does_not_rejournal(tmp_path, epoch):
     assert replayed.count() == 1
     replayed.crud_create(key("extra"), 2)     # must not append to the file
     assert sum(1 for l in journal.read_text().splitlines() if l.strip()) == 1
+
+
+def _state_of(lines: list[bytes]) -> dict:
+    """What a journal's lines leave in the store, folded without the
+    store: key text -> (body, revision)."""
+    state = {}
+    for line in lines:
+        doc = json.loads(line)
+        name = json.dumps(doc["key"], sort_keys=True)
+        if doc.get("op") == "delete":
+            state.pop(name, None)
+        else:
+            state[name] = (doc["body"], doc["revision"])
+    return state
+
+
+def test_every_byte_prefix_replays_its_complete_lines(repo_root, tmp_path,
+                                                      caplog):
+    # the demo monitoring run cut to 2 ticks (13 lines, every namespace
+    # it writes and a second revision), so its ~4,600 prefixes replay in
+    # about a second
+    journal = tmp_path / "journal.jsonl"
+    manifest = load_manifest(
+        repo_root / "configs" / "demo" / "monitoring" / "manifest.json")
+    _, manager = run_loop(manifest, "monitoring", ticks=2,
+                          journal_path=journal)
+    manager.shutdown()
+    data = journal.read_bytes()
+    lines = data.splitlines()
+    expected = [_state_of(lines[:count]) for count in range(len(lines) + 1)]
+    prefix = tmp_path / "prefix.jsonl"
+    prefix.write_bytes(data)
+    with caplog.at_level(logging.WARNING, logger="twinarch.storage"):
+        for size in range(len(data), -1, -1):
+            os.truncate(prefix, size)
+            replayed = SharedStorage.replay(prefix)
+            assert {json.dumps(r.key.to_json(), sort_keys=True):
+                    (r.body, r.revision) for r in replayed.all_records()} \
+                == expected[data.count(b"\n", 0, size)], size
+    # one warning per prefix that ends inside a line
+    assert len(caplog.records) == len(data) - len(lines)
+    assert caplog.records[-1].getMessage() == \
+        f"{prefix}: dropped a torn final line of 1 bytes"
+
+
+@pytest.mark.parametrize("line", [
+    "{oops",
+    "[1]",
+    '{"key": 5, "body": 1, "revision": 1}',
+    '{"body": 1, "revision": 1}',
+    '{"key": {"namespace": "Nope", "entity_id": "e1", "name": "n",'
+    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 1}',
+    '{"key": {"namespace": "Measurements", "entity_id": ["e1"],'
+    ' "name": "n", "observed_at": "2024-12-10T12:00:00Z"}, "body": 1,'
+    ' "revision": 1}',
+    '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
+    ' "observed_at": "yesterday"}, "body": 1, "revision": 1}',
+], ids=["not-json", "not-object", "key-not-object", "no-key",
+        "unknown-namespace", "unhashable-entity", "bad-stamp"])
+@pytest.mark.parametrize("last", [False, True], ids=["middle", "last"])
+def test_a_bad_complete_line_names_its_number(tmp_path, epoch, line, last):
+    journal = tmp_path / "journal.jsonl"
+    store = SharedStorage(journal_path=journal, clock=lambda: epoch)
+    store.crud_create(key("a"), 1)
+    store.close()
+    tail = "" if last else journal.read_text()
+    journal.write_text(journal.read_text() + line + "\n" + tail)
+    with pytest.raises(JournalCorrupt, match=f"{journal}: line 2: "):
+        SharedStorage.replay(journal)
 
 
 # --- journal line encoding -------------------------------------------------

@@ -4,7 +4,8 @@ Counts, not wall-clock time, so the gates hold on any machine: per
 tick, the records returned by `SharedStorage.crud_read` and
 `SharedStorage.latest` plus the trace points built by
 `ShadowManager.get_shadow` do not grow with the history held in the
-store, and the journal formats each tick's shared stamps once.
+store, and the journal formats each tick's shared stamps once. A
+scenario, monitoring or what-if, is validated once.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 
-from twinarch import storage
+import pytest
+
+from twinarch import simulation, storage
 from twinarch.configs import load_manifest
-from twinarch.orchestrator import TwinManager
+from twinarch.orchestrator import TwinManager, run_loop
 from twinarch.shadows import ShadowManager
-from twinarch.storage import SharedStorage
+from twinarch.storage import Namespace, SharedStorage
 
 TICKS = 400
 
@@ -85,3 +88,25 @@ def test_journal_formats_each_tick_stamp_once(repo_root, tmp_path,
     assert len(lines) > 5 * output.ticks_run
     assert len(calls) <= 2 * output.ticks_run + 2, (
         len(calls), output.ticks_run)
+
+
+@pytest.mark.parametrize("loop,scenarios", [("monitoring", 10),
+                                            ("prediction", 3)])
+def test_each_scenario_is_validated_once(repo_root, monkeypatch, loop,
+                                         scenarios):
+    # the monitoring demo simulates once per tick, the prediction demo
+    # once per candidate
+    validated = []
+    validate_scenario = simulation.validate_scenario
+
+    def counted_validate(scenario, spec):
+        validated.append(scenario.scenario_id)
+        return validate_scenario(scenario, spec)
+
+    monkeypatch.setattr(simulation, "validate_scenario", counted_validate)
+    manifest = load_manifest(
+        repo_root / "configs" / "demo" / loop / "manifest.json", loop)
+    _, manager = run_loop(manifest, loop)
+    manager.shutdown()
+    assert manager.storage.count(Namespace.SIM_RESULTS) == scenarios
+    assert len(validated) == scenarios, validated
