@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import CatalogCorrupt, InvalidRelationship
+from .errors import InvalidRelationship
 
 # Closed set of named interfaces appearing in the component view.
 INTERFACE_NAMES = frozenset({
@@ -400,82 +400,31 @@ def validate_relationship(rel: Relationship, entity_ids: frozenset[str],
 
 
 def _build_catalog() -> Catalog:
-    entities = tuple(EntityDef(i, n, d) for i, n, d in _ENTITY_ROWS)
-    components = tuple(
-        ComponentDef(i, n, d, tuple(p), tuple(r))
-        for i, n, d, p, r in _COMPONENT_ROWS)
-
+    entities = tuple(EntityDef(*row) for row in _ENTITY_ROWS)
+    components = tuple(ComponentDef(*row) for row in _COMPONENT_ROWS)
     entity_by_id = {e.id: e for e in entities}
     component_by_id = {c.id: c for c in components}
-    entity_by_name = {e.name: e for e in entities}
-    component_by_name = {c.name: c for c in components}
 
-    if len(entity_by_id) != 16 or len(entity_by_name) != 16:
-        raise CatalogCorrupt("expected 16 uniquely named entities")
-    if len(component_by_id) != 22 or len(component_by_name) != 22:
-        raise CatalogCorrupt("expected 22 uniquely named components")
-
-    for comp in components:
-        for iface in comp.provided_interfaces + comp.required_interfaces:
-            if iface not in INTERFACE_NAMES:
-                raise CatalogCorrupt(f"{comp.name}: unknown interface {iface!r}")
-
-    # Every provided interface must be required by some other component.
-    required_anywhere = {
-        iface
-        for comp in components
-        for iface in comp.required_interfaces}
-    for comp in components:
-        for iface in comp.provided_interfaces:
-            consumers = [
-                c for c in components
-                if c.id != comp.id and iface in c.required_interfaces]
-            if not consumers and iface not in required_anywhere:
-                raise CatalogCorrupt(
-                    f"interface {iface} provided by {comp.name} has no consumer")
-
-    relationships = tuple(
-        Relationship(kind, src, dst, mult)
-        for kind, src, dst, mult in _RELATIONSHIP_ROWS)
+    relationships = tuple(Relationship(*row) for row in _RELATIONSHIP_ROWS)
     entity_ids = frozenset(entity_by_id)
     component_ids = frozenset(component_by_id)
     for rel in relationships:
         validate_relationship(rel, entity_ids, component_ids)
 
-    cells = set()
-    for comp_name, entity_names in _MATRIX_ROWS.items():
-        comp = component_by_name.get(comp_name)
-        if comp is None:
-            raise CatalogCorrupt(f"matrix row for unknown component {comp_name!r}")
-        for entity_name in entity_names:
-            ent = entity_by_name.get(entity_name)
-            if ent is None:
-                raise CatalogCorrupt(f"matrix cell for unknown entity {entity_name!r}")
-            cells.add((comp.id, ent.id))
-    matrix = TraceabilityMatrix(cells=frozenset(cells))
-
-    iso_rows = tuple(
-        IsoMappingRow(fe, dom, tuple(mtv), tuple(ctv))
-        for fe, dom, mtv, ctv in _ISO_ROWS)
-    if len(iso_rows) != 17:
-        raise CatalogCorrupt("expected 17 ISO 23247 functional entity rows")
-    for row in iso_rows:
-        for name in row.mtv_elements:
-            if name not in entity_by_name:
-                raise CatalogCorrupt(f"ISO row {row.functional_entity}: {name!r}")
-        for name in row.ctv_elements:
-            if name not in component_by_name:
-                raise CatalogCorrupt(f"ISO row {row.functional_entity}: {name!r}")
-    unsupported = {r.functional_entity for r in iso_rows if r.support is IsoSupport.NONE}
-    if unsupported != {"Maintenance", "Access Control", "Security Support"}:
-        raise CatalogCorrupt(f"unexpected unsupported FE set: {sorted(unsupported)}")
+    # a misspelt matrix name fails here with a KeyError
+    entity_id = {e.name: e.id for e in entities}
+    component_id = {c.name: c.id for c in components}
+    matrix = TraceabilityMatrix(cells=frozenset(
+        (component_id[comp_name], entity_id[entity_name])
+        for comp_name, entity_names in _MATRIX_ROWS.items()
+        for entity_name in entity_names))
 
     return Catalog(
         entities=entities,
         components=components,
         relationships=relationships,
         matrix=matrix,
-        iso_rows=iso_rows,
+        iso_rows=tuple(IsoMappingRow(*row) for row in _ISO_ROWS),
         entity_by_id=entity_by_id,
         component_by_id=component_by_id,
     )
@@ -485,7 +434,9 @@ _CATALOG: Catalog | None = None
 
 
 def load_catalog() -> Catalog:
-    """Return the embedded registry, validating it on first use."""
+    """Return the embedded registry, built once on first use. Building
+    checks each relationship against its views and resolves every
+    matrix name."""
     global _CATALOG
     if _CATALOG is None:
         _CATALOG = _build_catalog()

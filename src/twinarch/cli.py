@@ -4,7 +4,8 @@ One binary, eight subcommands: catalog checks and exports, payload
 parsing, journal inspection, shadow queries, one-shot simulations,
 forecasting, telemetry ingestion, and full closed-loop runs. Exit
 codes: 0 success, 2 configuration error, 3 conformance failure,
-4 runtime failure. Log level comes from TWINARCH_LOG.
+4 runtime failure, 141 stdout closed by its reader. Log level comes
+from TWINARCH_LOG.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONFORMANCE = 3
 EXIT_RUNTIME = 4
+EXIT_BROKEN_PIPE = 141   # what a shell reports for a filter ended by SIGPIPE
 
 log = logging.getLogger("twinarch.cli")
 
@@ -465,7 +467,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away, as `| head` does: stop quietly, and send
+        # what is still buffered nowhere so the exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -152,6 +152,9 @@ def sim_scenario(doc: object, where: str, spec: ModelSpec) -> SimScenario:
     writes, checked against the model it runs on."""
     scenario = SimScenario(**_fields(doc, where, _SCENARIO,
                                      required=("scenario_id", "model_id")))
+    if scenario.model_id != spec.model_id:
+        raise ConfigError(f"{where}: model_id {scenario.model_id!r} is not "
+                          f"the model's {spec.model_id!r}")
     try:
         validate_scenario(scenario, spec)
     except InvalidSpec as exc:

@@ -12,10 +12,6 @@ class TwinArchError(Exception):
 
 # --- catalog ---------------------------------------------------------------
 
-class CatalogCorrupt(TwinArchError):
-    """Embedded architecture registry violates its own invariants."""
-
-
 class InvalidRelationship(TwinArchError):
     """Relationship kind is not legal for the views of its endpoints."""
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 from .errors import MalformedCommand
 from .wire import serialize
-from .wire.common import Measurement, Source
+from .wire.common import Measurement, Source, is_number
 
 
 class FaultKind(Enum):
@@ -203,11 +203,11 @@ class PhysicalHarness:
             raise MalformedCommand("args must be an object")
         correlation_id = doc["correlationId"]
         if command == "extend-green":
-            if not isinstance(args.get("seconds"), (int, float)):
+            if not is_number(args.get("seconds")):
                 raise MalformedCommand("extend-green needs numeric 'seconds'")
         elif command == "divert-traffic":
             fraction = args.get("fraction")
-            if not isinstance(fraction, (int, float)) or not 0 <= fraction <= 1:
+            if not is_number(fraction) or not 0 <= fraction <= 1:
                 raise MalformedCommand(
                     "divert-traffic needs 'fraction' in [0, 1]")
         elif command == "echo-state":

@@ -33,6 +33,7 @@ from .simulation import ModelEngine, ModelManager, SimScenario
 from .storage import SharedStorage
 from .tracing import (MatchReport, SequenceTemplate, Tracer, check_trace, hop,
                       monitoring_template, prediction_template)
+from .wire.common import is_number
 
 log = logging.getLogger("twinarch.run")
 
@@ -158,7 +159,7 @@ class TwinManager:
         inflow = 0.0
         latest = self.shadow_manager.latest_points(run.entity_id).get(
             settings.input_metric)
-        if latest is not None and isinstance(latest.value, (int, float)):
+        if latest is not None and is_number(latest.value):
             inflow = float(latest.value)
         initial = self.generator.initial_state_for(run.entity_id)
         # one step ending exactly at this tick's timestamp, so fresh

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .wire.common import Measurement
+from .wire.common import Measurement, is_number
 
 # unit -> (canonical unit, factor). Values multiply by the factor.
 UNIT_TABLE: dict[str, tuple[str, float]] = {
@@ -45,7 +45,7 @@ def _normalize_unit(m: Measurement) -> tuple[Measurement, bool]:
     canonical, factor = UNIT_TABLE[m.unit]
     if canonical == m.unit:
         return m, False
-    if not isinstance(m.value, (int, float)) or isinstance(m.value, bool):
+    if not is_number(m.value):
         return m, False
     return replace(m, unit=canonical, value=m.value * factor), True
 

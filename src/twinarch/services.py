@@ -33,7 +33,7 @@ from .shadows import ShadowManager
 from .simulation import SimScenario
 from .storage import Namespace, RecordKey, SharedStorage
 from .tracing import Tracer, hop
-from .wire.common import Scalar
+from .wire.common import Scalar, is_number
 
 
 class Provenance(Enum):
@@ -74,7 +74,7 @@ class TwinState:
             if name in ("density", "speed"):
                 continue
             value = self.metrics[name]
-            rendered = f"{value:g}" if isinstance(value, (int, float)) else str(value)
+            rendered = f"{value:g}" if is_number(value) else str(value)
             parts.append(f"a {name} of {rendered}")
         return " with ".join(parts) if parts else "no observed metrics"
 
@@ -301,8 +301,7 @@ class Predictor:
         traces: dict[str, dict[datetime, float]] = {}
         for shadow in self.shadow_manager.get_shadow(entity_id=entity_id):
             for point in shadow.trace:
-                if isinstance(point.value, bool) or not isinstance(
-                        point.value, (int, float)):
+                if not is_number(point.value):
                     continue
                 if (self.config.attributes is not None
                         and point.attribute not in self.config.attributes):
@@ -371,8 +370,7 @@ class DeviationDetector:
         for stamp, values in steps:
             for metric in sorted(values):
                 value = values[metric]
-                if (metric in first or isinstance(value, bool)
-                        or not isinstance(value, (int, float))):
+                if metric in first or not is_number(value):
                     continue
                 band = self.bands.get(metric)
                 if band is None:
@@ -429,19 +427,17 @@ class ScenarioGenerator:
 
     def initial_state_for(self, entity_id: str) -> dict[str, float]:
         """Seed state for what-if runs: the current fused value of the
-        objective metric, or 0 when nothing is known yet. A value that
-        does not read as a finite number (a device may report the string
-        "NaN") counts as unknown too."""
+        objective metric, or 0 when nothing is known yet. A value that is
+        not a finite number, such as a device's string "NaN" or "0.5" or
+        a boolean, counts as unknown too, as it does in forecasts."""
         metric = self.settings.objective_metric
         try:
-            state = self.state_monitor.get_state(entity_id)
+            value = self.state_monitor.get_state(entity_id).metrics.get(metric)
         except NotFound:
+            value = None
+        if not is_number(value) or not math.isfinite(value):
             return {metric: 0.0}
-        try:
-            value = float(state.metrics.get(metric, 0.0))
-        except (TypeError, ValueError):
-            return {metric: 0.0}
-        return {metric: value if math.isfinite(value) else 0.0}
+        return {metric: float(value)}
 
     def gen_scenario(self, deviation: Deviation, candidate: CandidateSolution,
                      inflow_series: list[float], base_time: datetime,

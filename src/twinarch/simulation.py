@@ -36,6 +36,7 @@ from typing import Callable
 from .clock import format_rfc3339
 from .errors import InvalidSpec, NotFound, NumericalFailure
 from .storage import Namespace, RecordKey, SharedStorage
+from .wire.common import is_number
 
 State = dict[str, float]
 Kernel = Callable[[dict, int, State, dict[str, list[float]], int],
@@ -114,24 +115,19 @@ class ModelKind:
     simulate: Kernel
 
 
-def _is_number(value: object) -> bool:
-    # JSON true and false are not numbers, though Python's bool is an int
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _validate_traffic_params(params: dict) -> None:
     capacity = params.get("capacity")
-    if not _is_number(capacity) or capacity <= 0:
+    if not is_number(capacity) or capacity <= 0:
         raise InvalidSpec(f"capacity must be > 0, got {capacity!r}")
     scale = params.get("capacity_scale", capacity)
-    if not _is_number(scale) or scale <= 0:
+    if not is_number(scale) or scale <= 0:
         raise InvalidSpec(f"capacity_scale must be > 0, got {scale!r}")
     sigma = params.get("noise_sigma", 0.0)
-    if not _is_number(sigma) or sigma < 0:
+    if not is_number(sigma) or sigma < 0:
         raise InvalidSpec(f"noise_sigma must be >= 0, got {sigma!r}")
     for name in ("inflow_gain", "green_sensitivity", "green_extension"):
         value = params.get(name, 0.0)
-        if not _is_number(value) or not math.isfinite(value):
+        if not is_number(value) or not math.isfinite(value):
             raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
 
 
@@ -220,7 +216,7 @@ def validate_scenario(scenario: SimScenario, spec: ModelSpec) -> None:
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise InvalidSpec(f"non-finite value in series {name!r}")
     for name, v in scenario.initial_state.items():
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not is_number(v) or not math.isfinite(v):
             raise InvalidSpec(f"non-finite initial state {name}={v!r}")
     merged = dict(spec.parameters)
     merged.update(scenario.overrides)

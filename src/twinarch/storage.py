@@ -248,12 +248,9 @@ class SharedStorage:
                         if present:
                             store._remove(key)
                         continue
-                    record = Record(key=key, body=doc["body"],
-                                    revision=doc["revision"])
-                    if present:
-                        store._records[key] = record
-                    else:
-                        store._insert(record)
+                    store._store(Record(key=key, body=doc["body"],
+                                        revision=doc["revision"]),
+                                 new=not present)
                 except (ValueError, KeyError, TypeError) as exc:
                     raise JournalCorrupt(
                         f"{journal_path}: line {number}: {exc!r}") from exc
@@ -266,10 +263,12 @@ class SharedStorage:
 
     # -- index --------------------------------------------------------------
 
-    def _insert(self, record: Record) -> None:
-        """Add a record under a key not yet present."""
+    def _store(self, record: Record, new: bool) -> None:
+        """Keep `record`, and index its key when it is `new`."""
         key = record.key
         self._records[key] = record
+        if not new:
+            return
         entries = self._index[key.namespace].setdefault(key.entity_id, [])
         # (observed_at, name) is unique within an entity, so the key
         # itself is never compared
@@ -301,13 +300,20 @@ class SharedStorage:
 
     # -- CRUD ---------------------------------------------------------------
 
+    def _commit(self, key: RecordKey, current: Record | None,
+                body: object) -> int:
+        """Store `body` under `key` at revision 1, or at `current`'s
+        revision + 1, and journal it: one key lookup per write."""
+        record = Record(key=key, body=body, revision=(
+            1 if current is None else current.revision + 1))
+        self._store(record, new=current is None)
+        self._journal(record)
+        return record.revision
+
     def crud_create(self, key: RecordKey, body: object) -> int:
         if key in self._records:
             raise DuplicateKey(f"key already present: {key}")
-        record = Record(key=key, body=body, revision=1)
-        self._insert(record)
-        self._journal(record)
-        return record.revision
+        return self._commit(key, None, body)
 
     def crud_read(self, query: Query) -> list[Record]:
         """Matching records in (observed_at, entity_id, name) order."""
@@ -333,10 +339,7 @@ class SharedStorage:
         current = self._records.get(key)
         if current is None:
             raise NotFound(f"no record under key: {key}")
-        record = Record(key=key, body=body, revision=current.revision + 1)
-        self._records[key] = record
-        self._journal(record)
-        return record.revision
+        return self._commit(key, current, body)
 
     def crud_delete(self, key: RecordKey) -> None:
         if key not in self._records:
@@ -344,10 +347,8 @@ class SharedStorage:
         self._journal(self._remove(key), op="delete")
 
     def upsert(self, key: RecordKey, body: object) -> int:
-        """Create-or-update; convenience wrapper used by writers."""
-        if key in self._records:
-            return self.crud_update(key, body)
-        return self.crud_create(key, body)
+        """Create-or-update; the write every runtime writer uses."""
+        return self._commit(key, self._records.get(key), body)
 
     # -- inspection ----------------------------------------------------------
 

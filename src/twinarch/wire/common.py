@@ -21,6 +21,11 @@ class Source(Enum):
     INTERNAL = "internal"
 
 
+def is_number(value: object) -> bool:
+    """A JSON number: an int or a float, never a bool (an int in Python)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_scalar(value: object, context: str) -> Scalar:
     """Validate that a decoded value is a representable scalar."""
     # bool before int: bool is an int subclass

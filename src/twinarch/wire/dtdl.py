@@ -17,15 +17,12 @@ from __future__ import annotations
 from datetime import datetime
 
 from ..errors import SchemaViolation, UndeclaredTelemetry, Unrepresentable
-from .common import Measurement, Scalar, Source, check_scalar, scalar_type
-from .ditto import _decode_json
+from .common import (Measurement, Scalar, Source, check_scalar, is_number,
+                     scalar_type)
+from .ditto import _TYPE_CHECKS, _decode_json
 
-_SCHEMA_CHECKS = {
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "double": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-}
+# Ditto's value types, except that a DTDL double also takes an integer
+_SCHEMA_CHECKS = {**_TYPE_CHECKS, "double": is_number}
 
 
 def _entity_type_from_dtmi(dtmi: str) -> str:

@@ -19,7 +19,7 @@ from datetime import datetime
 
 from ..clock import format_rfc3339, parse_rfc3339
 from ..errors import SchemaViolation, Unrepresentable
-from .common import Measurement, Source, check_scalar
+from .common import Measurement, Source, check_scalar, is_number
 from .ditto import _decode_json
 
 _RESERVED = {"id", "type", "location", "@context"}
@@ -30,8 +30,7 @@ def _parse_location(doc: object, entity_id: str) -> tuple[float, float]:
         raise SchemaViolation(f"{entity_id}: location must be a GeoJSON Point")
     coords = doc.get("coordinates")
     if (not isinstance(coords, list) or len(coords) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                       for c in coords)):
+            or not all(map(is_number, coords))):
         raise SchemaViolation(f"{entity_id}: coordinates must be two numbers")
     return float(coords[0]), float(coords[1])
 

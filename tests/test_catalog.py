@@ -140,6 +140,15 @@ def test_iso_mapping_shape():
             assert row.mtv_elements and row.ctv_elements
 
 
+def test_iso_rows_name_catalog_elements():
+    cat = load_catalog()
+    entities = {e.name for e in cat.entities}
+    components = {c.name for c in cat.components}
+    for row in cat.iso_rows:
+        assert set(row.mtv_elements) <= entities, row.functional_entity
+        assert set(row.ctv_elements) <= components, row.functional_entity
+
+
 def test_reports_are_deterministic():
     assert iso_report("text") == iso_report("text")
     assert traceability_report("json") == traceability_report("json")

@@ -142,6 +142,23 @@ def _twinarch(repo_root, *argv):
                             stderr=subprocess.PIPE, text=True)
 
 
+@pytest.mark.parametrize("argv", [["catalog"], ["catalog", "--check"]],
+                         ids=["fails-mid-write", "fails-at-flush"])
+def test_a_closed_stdout_exits_quietly(repo_root, argv):
+    # the read end is closed before the child starts, so every write
+    # to its stdout fails, whenever it happens
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twinarch", *argv],
+            env=dict(os.environ, PYTHONPATH=str(repo_root / "src")),
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_ingest_listen_leaves_a_file_that_is_not_a_socket(tmp_path,
                                                           repo_root):
     target = tmp_path / "notes.txt"
@@ -318,6 +335,7 @@ REJECTED = [
     ("scenario-horizon-float", "scenario", {"horizon": 2.7}),
     ("scenario-seed-string", "scenario", {"seed": "4"}),
     ("scenario-unknown-key", "scenario", {"colour": "red"}),
+    ("scenario-of-another-model", "scenario", {"model_id": "other"}),
 ]
 
 

@@ -131,6 +131,9 @@ def test_malformed_commands_ack_with_error():
            command("extend-green", {}),
            command("divert-traffic", {"fraction": 2.0}),
            command("divert-traffic", {}),
+           # a boolean is not a number
+           command("extend-green", {"seconds": True}),
+           command("divert-traffic", {"fraction": True}),
            command("repaint-road", {}),
            command("echo-state", {"attribute": "x"}),
            json.dumps({"device": "d", "command": "extend-green",

@@ -14,6 +14,7 @@ from twinarch.harness import Fault, FaultKind
 from twinarch.orchestrator import TwinManager, run_loop
 from twinarch.services import Band, Provenance, Severity
 from twinarch.storage import Namespace, Query, SharedStorage
+from twinarch.wire import Measurement
 
 
 def demo_manifest(repo_root, name, loop):
@@ -246,6 +247,22 @@ def test_a_nan_density_reading_does_not_stop_the_monitoring_loop(repo_root):
         output = manager.run_monitoring()
         assert output.ticks_run == 10
         assert output.states["TLF01"].metrics["density"] == pytest.approx(1.0)
+    finally:
+        manager.shutdown()
+
+
+@pytest.mark.parametrize("value", [True, "35"])
+def test_a_reading_that_is_not_a_number_feeds_no_inflow(repo_root, value):
+    # a Ditto or NGSI-LD `true` is a boolean, and not an inflow of 1
+    manifest = demo_manifest(repo_root, "monitoring", "monitoring")
+    manager = TwinManager(manifest, seed=0)
+    try:
+        run = manifest.run
+        assert manager.shadow_manager.update_from_measurement(Measurement(
+            run.entity_id, run.adapter.entity_type, run.sim.input_metric,
+            value, manager.clock.at(0)))
+        scenario = manager._current_conditions_scenario(1)
+        assert scenario.input_series == {run.sim.input_name: [0.0]}
     finally:
         manager.shutdown()
 

@@ -62,6 +62,9 @@ def test_state_describes_the_congestion_narrative():
         "no observed metrics"
     assert "a vehicleFlow of 35" in TwinState(
         "x", ts(0), {"vehicleFlow": 35}, Provenance.REAL_ONLY).describe()
+    # a boolean is not a number
+    assert "a blocked of True" in TwinState(
+        "x", ts(0), {"blocked": True}, Provenance.REAL_ONLY).describe()
 
 
 def test_fusion_provenance_real_only():
@@ -327,7 +330,8 @@ def test_initial_state_defaults_to_zero_without_data():
     assert gen.initial_state_for("TLF01") == {"density": 0.0}
 
 
-@pytest.mark.parametrize("value", ["NaN", "inf", "-inf", "heavy"])
+@pytest.mark.parametrize("value", ["NaN", "inf", "-inf", "heavy", True,
+                                   "0.5"])
 def test_initial_state_reads_a_non_finite_value_as_unknown(value):
     # strings pass the wire's scalar check; a what-if seed must be finite
     gen = generator(points=(("density", value, 5),))

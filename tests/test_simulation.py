@@ -13,7 +13,8 @@ from hypothesis import example, given, strategies as st
 
 from twinarch import simulation
 from twinarch.configs import load_manifest, model_spec, sim_scenario
-from twinarch.errors import InvalidSpec, NotFound, NumericalFailure
+from twinarch.errors import (ConfigError, InvalidSpec, NotFound,
+                             NumericalFailure)
 from twinarch.orchestrator import run_loop
 from twinarch.simulation import (KIND_TABLE, ModelEngine, ModelKind,
                                  ModelManager, ModelSpec, SimScenario,
@@ -308,8 +309,10 @@ def test_spec_and_scenario_round_trip_json():
                   seed=42)
     assert sim_scenario(json.loads(json.dumps(sc.to_json())), "s",
                         spec) == sc
-    minimal = sim_scenario({"scenario_id": "a", "model_id": "b"}, "s", spec)
+    minimal = sim_scenario({"scenario_id": "a", "model_id": "m1"}, "s", spec)
     assert minimal.horizon == 1 and minimal.base_time is None
+    with pytest.raises(ConfigError, match="model_id 'b' is not the model's"):
+        sim_scenario({"scenario_id": "a", "model_id": "b"}, "s", spec)
 
 
 # --- manager -----------------------------------------------------------------

@@ -58,6 +58,33 @@ def test_upsert_creates_then_updates():
     assert store.count(Namespace.MEASUREMENTS) == 1
 
 
+def test_each_write_hashes_its_key_twice(tmp_path, monkeypatch):
+    # one lookup and one store per commit; the generated
+    # `RecordKey.__hash__` is Python code over a tuple with a datetime
+    calls = 0
+    original = RecordKey.__hash__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    monkeypatch.setattr(RecordKey, "__hash__", counted)
+    store = SharedStorage(tmp_path / "journal.jsonl")
+
+    def hashes(write, k):
+        nonlocal calls
+        calls = 0
+        write(k, {"value": 1})
+        return calls
+
+    assert hashes(store.upsert, key(t=0)) == 2          # a new key
+    assert hashes(store.upsert, key(t=0)) == 2          # the next revision
+    assert hashes(store.crud_create, key(t=1)) == 2
+    assert hashes(store.crud_update, key(t=1)) == 2
+    store.close()
+
+
 def test_query_validation():
     with pytest.raises(InvalidQuery):
         Query(namespace=Namespace.STATES, time_from=ts(5), time_to=ts(5))
