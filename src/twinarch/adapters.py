@@ -48,23 +48,6 @@ class AdapterConfig:
 
 
 @dataclass(frozen=True)
-class OutboundCommand:
-    target_device: str
-    command_name: str
-    arguments: dict
-    issued_at: datetime
-    correlation_id: str
-
-    def envelope(self) -> str:
-        doc = {"device": self.target_device,
-               "command": self.command_name,
-               "args": self.arguments,
-               "correlationId": self.correlation_id,
-               "issuedAt": format_rfc3339(self.issued_at)}
-        return json.dumps(doc)
-
-
-@dataclass(frozen=True)
 class IngestReceipt:
     decoded: int            # measurements encoded in the payload
     stored: int
@@ -150,13 +133,10 @@ Receiver = Callable[[str], dict]
 
 
 class D2PAdapter:
-    """Outbound adapter: feedback to wire payloads plus acknowledgments."""
+    """Outbound adapter: feedback to JSON payloads plus acknowledgments,
+    whatever the inbound format, so it takes no config."""
 
-    def __init__(self, config: AdapterConfig, receiver: Receiver,
-                 run_id: str = "run") -> None:
-        if config.direction is not Direction.D2P:
-            raise ValueError("D2PAdapter needs a D2P config")
-        self.config = config
+    def __init__(self, receiver: Receiver, run_id: str = "run") -> None:
         self.receiver = receiver
         self._correlation = (f"{run_id}-c{n}" for n in itertools.count(1))
 
@@ -182,15 +162,15 @@ class D2PAdapter:
         return self._deliver(payload, correlation_id)
 
     def emit_commands(self, actions: list[tuple[str, str, dict]],
-                      issued_at: datetime) -> list[tuple[OutboundCommand, dict]]:
+                      issued_at: datetime) -> list[dict]:
         """Send one command envelope per (device, name, args) action,
-        preserving order."""
-        sent = []
+        preserving order; returns the acknowledgments in that order."""
+        acks = []
         for device, name, args in actions:
-            command = OutboundCommand(
-                target_device=device, command_name=name, arguments=args,
-                issued_at=issued_at,
-                correlation_id=self.next_correlation_id())
-            ack = self._deliver(command.envelope(), command.correlation_id)
-            sent.append((command, ack))
-        return sent
+            correlation_id = self.next_correlation_id()
+            payload = json.dumps({"device": device, "command": name,
+                                  "args": args,
+                                  "correlationId": correlation_id,
+                                  "issuedAt": format_rfc3339(issued_at)})
+            acks.append(self._deliver(payload, correlation_id))
+        return acks

@@ -297,7 +297,7 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
     result = execute(spec, scenario, completed_at=completed_at)
     _print_json({
         "scenario_id": result.scenario_id,
-        "series": [dict(state) for state in result.state_series],
+        "series": result.state_series,
         "objective": result.objective,
         "completed_at": format_rfc3339(result.completed_at),
     })

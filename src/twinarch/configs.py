@@ -19,6 +19,7 @@ is read the same way and validated as it loads.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -33,7 +34,7 @@ from .shadows import ShadowType
 from .simulation import (ModelSpec, SimScenario, validate_scenario,
                          validate_spec)
 from .tracing import SequenceTemplate
-from .wire.common import Source
+from .wire.common import Source, is_number
 from .wire.dtdl import parse_model
 
 
@@ -79,7 +80,13 @@ _text = _json_type(str, "a string")
 _object = _json_type(dict, "an object")
 _list = _json_type(list, "a list")
 _int = _json_type(int, "an integer")
-_number = _json_type((int, float), "a number")
+
+
+def _number(value: object) -> int | float:
+    # json.loads also reads NaN, Infinity and ints beyond a float's range
+    if not is_number(value):
+        raise ValueError(f"must be a finite number, got {reprlib.repr(value)}")
+    return value
 
 
 def _float(value: object) -> float:

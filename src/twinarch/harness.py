@@ -94,7 +94,6 @@ class PhysicalHarness:
         self._tick = 0
         self._pending: list[_PendingCommand] = []
         self._delayed: dict[int, list[str]] = {}
-        self._echo: list[tuple[str, object]] = []
         self._schedule = {t: v for t, v in config.schedule}
         self.emitted_flows: list[tuple[int, float]] = []
 
@@ -128,11 +127,11 @@ class PhysicalHarness:
         flow *= 1.0 - self.actuator.divert_fraction
         return max(0.0, flow)
 
-    def _render(self, attribute: str, value: object, tick: int) -> str:
+    def _render(self, value: object, tick: int) -> str:
         measurement = Measurement(
             entity_id=self.config.device_id,
             entity_type=self.config.entity_type,
-            attribute=attribute,
+            attribute=self.config.attribute,
             value=value,
             observed_at=self.clock(tick),
             source=self.config.format)
@@ -145,15 +144,11 @@ class PhysicalHarness:
         self._tick = tick
         self._apply_pending(tick)
         payloads = list(self._delayed.pop(tick, ()))
-        for attribute, value in self._echo:
-            payloads.append(self._render(attribute, value, tick))
-        self._echo.clear()
         flow = self._flow_at(tick)
         if flow is not None:
             self.emitted_flows.append((tick, flow))
             fault = self._fault_at(tick)
-            rendered = self._render(self.config.attribute,
-                                    self._round(flow), tick)
+            rendered = self._render(self._round(flow), tick)
             if fault is None:
                 payloads.append(rendered)
             elif fault.kind is FaultKind.DROP:
@@ -210,11 +205,6 @@ class PhysicalHarness:
             if not is_number(fraction) or not 0 <= fraction <= 1:
                 raise MalformedCommand(
                     "divert-traffic needs 'fraction' in [0, 1]")
-        elif command == "echo-state":
-            if "attribute" not in args or "value" not in args:
-                raise MalformedCommand("echo-state needs attribute and value")
-            self._echo.append((args["attribute"], args["value"]))
-            return {"status": "ok", "correlationId": correlation_id}
         else:
             raise MalformedCommand(f"unknown command {command!r}")
         # a command lands during tick t; with latency 0 it takes effect

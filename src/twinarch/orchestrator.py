@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
 
-from .adapters import AdapterConfig, D2PAdapter, Direction, P2DAdapter
+from .adapters import D2PAdapter, P2DAdapter
 from .clock import DEFAULT_EPOCH, LogicalClock
 from .configs import Manifest
 from .errors import NoFeasibleSolution, ParseError
@@ -71,9 +71,7 @@ class TwinManager:
 
         self.p2d = P2DAdapter(run.adapter, self.storage,
                               device_registry=run.device_registry)
-        self.d2p = D2PAdapter(
-            AdapterConfig(direction=Direction.D2P, format=run.adapter.format),
-            receiver=self.harness.receive, run_id=f"s{seed}")
+        self.d2p = D2PAdapter(self.harness.receive, run_id=f"s{seed}")
 
         self.shadow_manager = ShadowManager(self.storage)
         for shadow_type in run.shadow_types:

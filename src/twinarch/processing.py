@@ -2,14 +2,14 @@
 
 Raw measurements are deduplicated (same entity, attribute, and
 timestamp), sorted by time, converted to canonical units via a static
-table, and stripped of non-finite numerics. Nothing is an error: drops
-are counted and reported alongside the surviving measurements, and the
-whole step is idempotent.
+table, and stripped of numbers that are not finite after conversion,
+which can overflow a finite one (see `is_number`). Nothing is an
+error: drops are counted and reported alongside the surviving
+measurements, and the whole step is idempotent.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from .wire.common import Measurement, is_number
@@ -58,10 +58,10 @@ def process(raw: list[Measurement]) -> ProcessResult:
     seen: set[tuple[str, str, object]] = set()
     kept: list[Measurement] = []
     for m in raw:
-        if (isinstance(m.value, float) and not math.isfinite(m.value)):
+        m, did = _normalize_unit(m)
+        if not (is_number(m.value) or isinstance(m.value, (str, bool))):
             non_finite += 1
             continue
-        m, did = _normalize_unit(m)
         if did:
             normalized += 1
         identity = (m.entity_id, m.attribute, m.observed_at)

@@ -6,7 +6,8 @@ guarantees come from the orchestrator. Decision rules are deliberately
 simple and documented so independent oracles can recompute them:
 
 * State fusion: per metric, the most recent of (latest shadow point,
-  latest simulated point); ties go to the shadow (real data wins).
+  latest simulated point); ties go to the shadow (real data wins), and
+  a what-if, stamped after the state, is ignored.
 * Forecasts: last-value, moving-average(k), or ordinary least squares
   on the sample index over a sliding window (default 10, minimum 3).
 * Deviations: value outside a configured [lo, hi] band; Critical when
@@ -19,7 +20,6 @@ simple and documented so independent oracles can recompute them:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
@@ -190,8 +190,10 @@ class StateMonitor:
         self.shadow_manager = shadow_manager
         self._clock = clock
 
-    def _sim_latest(self, entity_id: str) -> dict[str, tuple[datetime, float]]:
-        # the last result in read order: (observed_at, scenario id)
+    def _sim_latest(self, entity_id: str, now: datetime,
+                    ) -> dict[str, tuple[datetime, float]]:
+        # the last result in read order, stamped where its series ends:
+        # after `now` for a what-if, at its tick for current conditions
         record = self.storage.latest(Namespace.SIM_RESULTS, entity_id)
         if record is None:
             return {}
@@ -203,12 +205,15 @@ class StateMonitor:
         step = float(scenario.get("step_size", 1.0))
         final = body["series"][-1]
         stamp = base_time + timedelta(seconds=step * len(body["series"]))
+        if stamp > now:
+            return {}
         return {name: (stamp, float(value)) for name, value in final.items()}
 
     def get_state(self, entity_id: str) -> TwinState:
         """Fuse latest real and simulated values; commit the state."""
+        now = self._clock()
         real = self.shadow_manager.latest_points(entity_id)
-        sim = self._sim_latest(entity_id)
+        sim = self._sim_latest(entity_id, now)
         if not real and not sim:
             raise NotFound(f"no shadow or simulation data for {entity_id!r}")
         metrics: dict[str, Scalar] = {}
@@ -228,7 +233,7 @@ class StateMonitor:
             provenance = Provenance.REAL_ONLY
         else:
             provenance = Provenance.SIM_ONLY
-        state = TwinState(entity_id=entity_id, computed_at=self._clock(),
+        state = TwinState(entity_id=entity_id, computed_at=now,
                           metrics=metrics, provenance=provenance)
         key = RecordKey(namespace=Namespace.STATES, entity_id=entity_id,
                         name="state", observed_at=state.computed_at)
@@ -435,7 +440,7 @@ class ScenarioGenerator:
             value = self.state_monitor.get_state(entity_id).metrics.get(metric)
         except NotFound:
             value = None
-        if not is_number(value) or not math.isfinite(value):
+        if not is_number(value):
             return {metric: 0.0}
         return {metric: float(value)}
 

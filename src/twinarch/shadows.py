@@ -194,19 +194,16 @@ class ShadowManager:
 
     def get_shadow(self, type_name: str | None = None,
                    entity_id: str | None = None,
-                   name: str | None = None,
                    time_from: datetime | None = None,
                    time_to: datetime | None = None) -> list[Shadow]:
         """Matching shadows with traces sliced to the half-open range."""
         if time_from is not None and time_to is not None and time_from >= time_to:
             raise InvalidQuery(f"empty range: {time_from} >= {time_to}")
         hits = []
-        for shadow_id, entry in sorted(self._shadows.items()):
+        for _, entry in sorted(self._shadows.items()):
             if type_name is not None and entry.type.name != type_name:
                 continue
             if entity_id is not None and entry.entity_id != entity_id:
-                continue
-            if name is not None and shadow_id != name:
                 continue
             hits.append(self._materialize(entry, time_from, time_to))
         return hits

@@ -127,7 +127,7 @@ def _validate_traffic_params(params: dict) -> None:
         raise InvalidSpec(f"noise_sigma must be >= 0, got {sigma!r}")
     for name in ("inflow_gain", "green_sensitivity", "green_extension"):
         value = params.get(name, 0.0)
-        if not is_number(value) or not math.isfinite(value):
+        if not is_number(value):
             raise InvalidSpec(f"{name} must be a finite number, got {value!r}")
 
 
@@ -216,7 +216,7 @@ def validate_scenario(scenario: SimScenario, spec: ModelSpec) -> None:
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise InvalidSpec(f"non-finite value in series {name!r}")
     for name, v in scenario.initial_state.items():
-        if not is_number(v) or not math.isfinite(v):
+        if not is_number(v):
             raise InvalidSpec(f"non-finite initial state {name}={v!r}")
     merged = dict(spec.parameters)
     merged.update(scenario.overrides)
@@ -325,7 +325,7 @@ class ModelEngine:
         self.storage.upsert(key, {
             "scenario": scenario.to_json(),
             "model": spec.to_json(),
-            "series": [dict(s) for s in result.state_series],
+            "series": list(result.state_series),
             "objective": result.objective,
             "base_time": format_rfc3339(base_time),
             "completed_at": format_rfc3339(result.completed_at)})

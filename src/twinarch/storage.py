@@ -77,20 +77,15 @@ class RecordKey:
                 "observed_at": format_rfc3339(self.observed_at)}
 
     @classmethod
-    def from_json(cls, doc: dict,
-                  stamps: dict[str, datetime] | None = None) -> "RecordKey":
-        """`stamps`, when given, keeps the timestamps parsed so far, so
-        that keys sharing a stamp parse it once."""
+    def from_json(cls, doc: dict, stamps: dict[str, datetime]) -> "RecordKey":
+        """`stamps` keeps the timestamps parsed so far, so that keys
+        sharing a stamp parse it once."""
         namespace = Namespace(doc["namespace"])
         entity_id, name = doc["entity_id"], doc["name"]
         text = doc["observed_at"]
-        observed_at = None
-        if stamps is not None and isinstance(text, str):
-            observed_at = stamps.get(text)
+        observed_at = stamps.get(text) if isinstance(text, str) else None
         if observed_at is None:
-            observed_at = parse_rfc3339(text)
-            if stamps is not None:
-                stamps[text] = observed_at
+            observed_at = stamps[text] = parse_rfc3339(text)
         return cls(namespace=namespace, entity_id=entity_id, name=name,
                    observed_at=observed_at)
 
@@ -222,14 +217,13 @@ class SharedStorage:
         self._journal_file.flush()
 
     @classmethod
-    def replay(cls, journal_path: str | Path,
-               clock: Callable[[], datetime] | None = None) -> "SharedStorage":
+    def replay(cls, journal_path: str | Path) -> "SharedStorage":
         """Rebuild a store from its journal. The copy does not re-journal.
 
         A final line without its newline was torn by a crash mid-write:
         it is dropped with a warning. Any other line that is not a
         record raises `JournalCorrupt` naming its line number."""
-        store = cls(journal_path=None, clock=clock)
+        store = cls()
         # the lines of one tick share a stamp, so each is parsed once
         stamps: dict[str, datetime] = {}
         with open(journal_path, encoding="utf-8") as fh:

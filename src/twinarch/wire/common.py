@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -22,21 +23,23 @@ class Source(Enum):
 
 
 def is_number(value: object) -> bool:
-    """A JSON number: an int or a float, never a bool (an int in Python)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a float that a float holds finitely (RFC 8259 §6): never
+    a bool (an int in Python), NaN, an infinity or a too large int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int beyond a float's range
+        return False
 
 
 def check_scalar(value: object, context: str) -> Scalar:
     """Validate that a decoded value is a representable scalar."""
-    # bool before int: bool is an int subclass
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)) or is_number(value):
         return value
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise SchemaViolation(f"{context}: non-finite number {value!r}")
-        return value
+    if isinstance(value, (int, float)):
+        raise SchemaViolation(f"{context}: not a finite number: "
+                              f"{reprlib.repr(value)}")
     raise SchemaViolation(
         f"{context}: unsupported value type {type(value).__name__}")
 

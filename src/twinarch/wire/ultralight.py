@@ -12,22 +12,19 @@ from __future__ import annotations
 from datetime import datetime
 
 from ..errors import MalformedPayload, UnknownKey
-from .common import Measurement, Scalar, Source
+from .common import Measurement, Scalar, Source, is_number
 
 
 def _decode_value(token: str) -> Scalar:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        pass
-    try:
-        value = float(token)
-    except ValueError:
-        return token
-    # inf/nan parse as floats but are not representable downstream
-    if value != value or value in (float("inf"), float("-inf")):
-        return token
-    return value
+        try:
+            value = float(token)
+        except ValueError:
+            return token
+    # nan, inf and ints beyond a float's range stay text: not numbers
+    return value if is_number(value) else token
 
 
 def parse_ultralight(payload: str | bytes, device_id: str,

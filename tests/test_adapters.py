@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from twinarch.adapters import (AdapterConfig, D2PAdapter, Direction,
                                IngestReceipt, P2DAdapter)
@@ -23,9 +28,6 @@ def test_direction_is_enforced():
     with pytest.raises(ValueError):
         P2DAdapter(AdapterConfig(Direction.D2P, Source.ULTRALIGHT),
                    SharedStorage())
-    with pytest.raises(ValueError):
-        D2PAdapter(AdapterConfig(Direction.P2D, Source.ULTRALIGHT),
-                   receiver=lambda p: {"status": "ok"})
 
 
 def test_ingest_commits_to_measurements():
@@ -80,6 +82,26 @@ def test_reingesting_a_payload_upserts_in_place():
     assert storage.count(Namespace.MEASUREMENTS) == 2
 
 
+def _refuse_constant(name: str):
+    raise AssertionError(f"journal line carries {name}")
+
+
+def test_a_speed_that_unit_scaling_overflows_is_dropped(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    storage = SharedStorage(journal_path=journal)
+    payload = json.dumps({
+        "id": "e", "type": "T",
+        "flow": {"value": 35, "observedAt": "2024-12-10T12:00:00Z"},
+        "averageSpeed": {"value": 1e308, "unitCode": "m/s",
+                         "observedAt": "2024-12-10T12:00:00Z"}})
+    receipt = P2DAdapter(p2d(Source.NGSI_LD), storage).ingest(
+        payload, "e", ts(0))
+    storage.close()
+    assert (receipt.decoded, receipt.stored, receipt.dropped) == (2, 1, 1)
+    for line in journal.read_text(encoding="utf-8").splitlines():
+        json.loads(line, parse_constant=_refuse_constant)
+
+
 def test_parse_errors_carry_payload_excerpt():
     adapter = P2DAdapter(p2d(), SharedStorage())
     with pytest.raises(MalformedPayload) as exc_info:
@@ -97,16 +119,16 @@ def test_command_envelope_shape_and_correlation_sequence():
         sent.append(payload)
         return {"status": "ok", "echo": payload}
 
-    adapter = D2PAdapter(AdapterConfig(Direction.D2P, Source.NGSI_LD),
-                         receiver, run_id="r1")
-    pairs = adapter.emit_commands(
+    adapter = D2PAdapter(receiver, run_id="r1")
+    acks = adapter.emit_commands(
         [("gl-1", "extend-green", {"seconds": 20}),
          ("sign-1", "divert", {"fraction": 0.3})], issued_at=ts(5))
-    assert [c.correlation_id for c, _ in pairs] == ["r1-c1", "r1-c2"]
-    first = json.loads(sent[0])
-    assert first == {"device": "gl-1", "command": "extend-green",
-                     "args": {"seconds": 20}, "correlationId": "r1-c1",
-                     "issuedAt": "2024-12-10T12:00:05Z"}
+    assert [ack["echo"] for ack in acks] == sent
+    assert [json.loads(p)["correlationId"] for p in sent] == ["r1-c1",
+                                                              "r1-c2"]
+    assert sent[0] == ('{"device": "gl-1", "command": "extend-green", '
+                       '"args": {"seconds": 20}, "correlationId": "r1-c1", '
+                       '"issuedAt": "2024-12-10T12:00:05Z"}')
     ack = adapter.emit_alert("high congestion", "Warning", issued_at=ts(6))
     assert ack["status"] == "ok"
     note = json.loads(sent[2])
@@ -115,13 +137,86 @@ def test_command_envelope_shape_and_correlation_sequence():
 
 
 def test_rejection_surfaces_as_delivery_failed():
-    adapter = D2PAdapter(AdapterConfig(Direction.D2P, Source.NGSI_LD),
-                         receiver=lambda p: {"status": "error",
+    adapter = D2PAdapter(receiver=lambda p: {"status": "error",
                                              "detail": "offline"})
     with pytest.raises(DeliveryFailed) as exc_info:
         adapter.emit_alert("msg", "Warning", ts(0))
     assert "offline" in str(exc_info.value)
-    broken = D2PAdapter(AdapterConfig(Direction.D2P, Source.NGSI_LD),
-                        receiver=lambda p: "nope")
+    broken = D2PAdapter(receiver=lambda p: "nope")
     with pytest.raises(DeliveryFailed):
         broken.emit_commands([("d", "c", {})], ts(0))
+
+
+# -- the number rule, end to end --------------------------------------------------
+
+_DTDL_MODEL = {"@id": "dtmi:t:S;1", "@type": "Interface",
+               "contents": [{"@type": "Telemetry", "name": "flow",
+                             "schema": "double"}]}
+
+
+def _payload(fmt: Source, value, unit, located: bool) -> str:
+    """One payload carrying `value` as its `flow` reading; Python's json
+    writes NaN, Infinity and ints of any size, and reads them back."""
+    if fmt is Source.ULTRALIGHT:
+        return f"f|{value!r}"
+    if fmt is Source.DITTO:
+        return json.dumps({"thingId": "t", "attributes": {
+            "flow": {"value": value}}})
+    if fmt is Source.DTDL:
+        return json.dumps({"flow": value})
+    attribute = {"value": value, "observedAt": "2024-12-10T12:00:00Z"}
+    if unit is not None:
+        attribute["unitCode"] = unit
+    doc = {"id": "e", "type": "T", "flow": attribute}
+    if located:
+        doc["location"] = {"type": "Point", "coordinates": [value, 0.0]}
+    return json.dumps(doc)
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+_edge_numbers = st.one_of(
+    st.floats(),                 # NaN and the infinities included
+    st.floats(min_value=1e306),  # finite, unless unit scaling overflows it
+    st.integers(),
+    st.sampled_from([10**400, -10**400, 2**1024, int(sys.float_info.max)]))
+
+
+@given(fmt=st.sampled_from([Source.ULTRALIGHT, Source.DITTO, Source.DTDL,
+                            Source.NGSI_LD]),
+       value=_edge_numbers,
+       unit=st.sampled_from([None, "m/s", "mph", "km/h"]),
+       located=st.booleans())
+@example(fmt=Source.NGSI_LD, value=10**400, unit=None, located=False)
+@example(fmt=Source.NGSI_LD, value=1e308, unit="m/s", located=False)
+@example(fmt=Source.NGSI_LD, value=10**400, unit=None, located=True)
+@example(fmt=Source.DITTO, value=10**400, unit=None, located=False)
+@example(fmt=Source.DTDL, value=10**400, unit=None, located=False)
+@example(fmt=Source.ULTRALIGHT, value=10**400, unit=None, located=False)
+def test_every_stored_number_is_one_a_float_holds(fmt, value, unit, located):
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "journal.jsonl"
+        storage = SharedStorage(journal_path=journal)
+        adapter = P2DAdapter(p2d(fmt, attribute_map={"f": "flow"},
+                                 dtdl_model=_DTDL_MODEL), storage)
+        try:
+            adapter.ingest(_payload(fmt, value, unit, located), "d", ts(0))
+        except ParseError:
+            pass
+        finally:
+            storage.close()
+        live = storage.all_records()
+        for record in live:
+            stored = record.body["value"]
+            assert isinstance(stored, (bool, str)) or _finite_number(stored)
+            assert all(map(_finite_number, record.body.get("location", ())))
+        for line in journal.read_text(encoding="utf-8").splitlines():
+            json.loads(line, parse_constant=_refuse_constant)
+        assert SharedStorage.replay(journal).all_records() == live

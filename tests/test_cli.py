@@ -490,6 +490,29 @@ def test_run_with_a_misspelt_run_key_exits_2(tmp_path, repo_root, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("path, text", [
+    (("harness", "response_gain"), "1" + "0" * 400),
+    (("run", "tick_interval"), "NaN"),
+    (("run", "model", "parameters", "capacity"), "Infinity"),
+], ids=["response-gain-400-digits", "tick-interval-nan", "capacity-infinity"])
+def test_a_manifest_number_no_float_holds_exits_2(tmp_path, repo_root, capsys,
+                                                  path, text):
+    # json.loads reads all three, but none is a number a float holds
+    demo = repo_root / "configs" / "demo" / "monitoring"
+    doc = {name: json.loads((demo / f"{name}.json").read_text(
+        encoding="utf-8")) for name in ("harness", "run")}
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "@"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc).replace('"@"', text), encoding="utf-8")
+    assert main(["run", "--loop", "monitoring",
+                 "--config", str(manifest)]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_prediction_without_candidates_exits_2(tmp_path, repo_root):
     # the monitoring manifest has no candidate catalog
     manifest = write_manifest(tmp_path, repo_root, name="monitoring")

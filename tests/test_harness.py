@@ -115,14 +115,6 @@ def test_notifications_are_stored_not_actuated():
     assert flows(h.emit(1)) == [20]          # unchanged emission
 
 
-def test_echo_state_renders_on_the_next_emit():
-    h = harness()
-    h.receive(command("echo-state", {"attribute": "vehicleFlow",
-                                     "value": 7}))
-    got = h.emit(1)
-    assert flows(got) == [7, 20]
-
-
 def test_malformed_commands_ack_with_error():
     h = harness()
     bad = ["not json",
@@ -134,6 +126,10 @@ def test_malformed_commands_ack_with_error():
            # a boolean is not a number
            command("extend-green", {"seconds": True}),
            command("divert-traffic", {"fraction": True}),
+           # nor is NaN, an infinity or an int beyond a float's range
+           command("extend-green", {"seconds": float("nan")}),
+           command("extend-green", {"seconds": float("inf")}),
+           command("extend-green", {"seconds": 10**400}),
            command("repaint-road", {}),
            command("echo-state", {"attribute": "x"}),
            json.dumps({"device": "d", "command": "extend-green",

@@ -138,6 +138,22 @@ def test_prediction_commands_are_acked(prediction_run):
     assert manager.harness.acks[0]["status"] == "ok"
 
 
+def test_a_what_if_does_not_pass_for_the_present(repo_root):
+    # a what-if ends after the run's last tick: it is not current state
+    manifest = demo_manifest(repo_root, "prediction", "prediction")
+    output, manager = run_loop(manifest, "prediction", seed=0)
+    try:
+        assert output.plan is not None
+        (before_search,) = manager.storage.crud_read(
+            Query(namespace=Namespace.STATES))
+        state = manager.monitor.get_state("TLF01")
+        assert state.to_json() == before_search.body
+        assert state.metrics == {"vehicleFlow": 42}
+        assert state.provenance is Provenance.REAL_ONLY
+    finally:
+        manager.shutdown()
+
+
 def test_prediction_healthy_run_skips_the_whatif_branch(repo_root):
     manifest = demo_manifest(repo_root, "prediction", "prediction")
     bands = {"vehicleFlow": Band(lo=0.0, hi=1000.0),

@@ -33,10 +33,13 @@ def test_output_sorted_by_time_entity_attribute():
 
 
 def test_non_finite_values_dropped():
+    # 1e308 m/s is finite until unit scaling makes it inf km/h
     result = process([m(value=float("nan"), t=0), m(value=float("inf"), t=1),
-                      m(value=5.0, t=2)])
+                      m(value=5.0, t=2), m(value=1e308, t=3, unit="m/s"),
+                      m(value=10**400, t=4)])
     assert [x.value for x in result.measurements] == [5.0]
-    assert result.stats.non_finite_dropped == 2
+    assert result.stats.non_finite_dropped == 4
+    assert result.stats.units_normalized == 0
 
 
 def test_unit_conversion_to_canonical():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twinarch.adapters import AdapterConfig, D2PAdapter, Direction
+from twinarch.adapters import D2PAdapter
 from twinarch.errors import (InsufficientHistory, MissingThreshold,
                              NoFeasibleSolution, NotFound, UnmappableAction)
 from twinarch.services import (Action, Band, CandidateSolution, Deviation,
@@ -23,7 +23,7 @@ from twinarch.services import (Action, Band, CandidateSolution, Deviation,
 from twinarch.shadows import ShadowManager, ShadowType
 from twinarch.storage import Namespace, Query, RecordKey, SharedStorage
 from twinarch.tracing import Tracer, payload_digest
-from twinarch.wire import Measurement, Source
+from twinarch.wire import Measurement
 
 from conftest import ts
 
@@ -330,8 +330,10 @@ def test_initial_state_defaults_to_zero_without_data():
     assert gen.initial_state_for("TLF01") == {"density": 0.0}
 
 
-@pytest.mark.parametrize("value", ["NaN", "inf", "-inf", "heavy", True,
-                                   "0.5"])
+@pytest.mark.parametrize("value", [
+    "NaN", "inf", "-inf", "heavy", True, "0.5",
+    pytest.param(10**400, id="10**400"),
+    pytest.param(float("inf"), id="float-inf")])
 def test_initial_state_reads_a_non_finite_value_as_unknown(value):
     # strings pass the wire's scalar check; a what-if seed must be finite
     gen = generator(points=(("density", value, 5),))
@@ -442,8 +444,7 @@ def test_plan_requires_actions_and_scenarios():
 def feedback_stack(config=None):
     storage = SharedStorage()
     delivered: list[str] = []
-    adapter = D2PAdapter(AdapterConfig(Direction.D2P, Source.NGSI_LD),
-                         receiver=lambda p: (delivered.append(p)
+    adapter = D2PAdapter(receiver=lambda p: (delivered.append(p)
                                              or {"status": "ok"}),
                          run_id="t")
     return FeedbackExecutor(adapter, storage, config), storage, delivered

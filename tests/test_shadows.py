@@ -94,7 +94,6 @@ def test_get_shadow_filters_by_type_entity_and_id():
         "battery:r1"]
     assert [s.shadow_id for s in mgr.get_shadow(entity_id="e1")] == [
         "traffic:e1"]
-    assert mgr.get_shadow(name="traffic:e1")[0].entity_id == "e1"
     assert mgr.get_shadow(entity_id="nobody") == []
 
 

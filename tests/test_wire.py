@@ -256,9 +256,33 @@ def test_ngsi_rejects_bad_documents(epoch):
 def test_check_scalar_rejects_non_finite_and_structures():
     assert check_scalar(True, "x") is True
     assert check_scalar(0, "x") == 0
-    for bad in (float("nan"), float("inf"), [1], {"a": 1}, None):
+    for bad in (float("nan"), float("inf"), 10**400, -10**400, [1],
+                {"a": 1}, None):
         with pytest.raises(SchemaViolation):
             check_scalar(bad, "x")
+
+
+@pytest.mark.parametrize("parse", [
+    lambda text: parse_ngsi_ld(
+        '{"id": "e", "type": "T", "flow": {"value": %s}}' % text, ts(0)),
+    lambda text: parse_ditto_thing(
+        '{"thingId": "t", "attributes": {"flow": {"value": %s}}}' % text,
+        ts(0)),
+    lambda text: parse_dtdl_telemetry(
+        {"@id": "dtmi:t:S;1", "@type": "Interface",
+         "contents": [{"@type": "Telemetry", "name": "flow",
+                       "schema": "double"}]}, '{"flow": %s}' % text, ts(0)),
+], ids=["ngsi-ld", "ditto", "dtdl"])
+def test_an_int_beyond_a_float_is_not_a_number(parse):
+    # json.loads reads it as a Python int that no float can hold
+    with pytest.raises(SchemaViolation):
+        parse("1" + "0" * 400)
+
+
+def test_ultralight_keeps_what_is_not_a_number_as_text(epoch):
+    for token in ("nan", "inf", "-inf", "1e400", "9" * 400, "-" + "9" * 400):
+        (m,) = parse_ultralight(f"f|{token}", "dev-1", epoch)
+        assert m.value == token
 
 
 def test_naive_timestamp_rejected_at_construction():
