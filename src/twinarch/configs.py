@@ -26,10 +26,11 @@ from typing import Callable
 
 from .adapters import AdapterConfig, Direction
 from .clock import parse_rfc3339
-from .errors import ConfigError, InvalidSpec, SchemaViolation
+from .errors import ConfigError, InvalidSpec, SchemaViolation, UnmappableAction
 from .harness import Fault, FaultKind, HarnessConfig
 from .services import (FORECAST_METHODS, Band, CandidateSolution, Action,
-                       FeedbackConfig, PredictorConfig, SimulationSettings)
+                       FeedbackConfig, PredictorConfig, SimulationSettings,
+                       check_action)
 from .shadows import ShadowType
 from .simulation import (ModelSpec, SimScenario, validate_scenario,
                          validate_spec)
@@ -348,14 +349,21 @@ def _action(doc: object, where: str) -> Action:
                                   "args": _object}, required=("name",))
     if "args" in fields:
         fields["arguments"] = fields.pop("args")
-    return Action(**fields)
+    action = Action(**fields)
+    try:
+        check_action(action)
+    except UnmappableAction as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return action
 
 
 def _candidate(doc: object, where: str) -> CandidateSolution:
     fields = _fields(doc, where, {
         "id": _text,
         "actions": lambda value: _items(value, f"{where}.actions", _action),
-    }, required=("id",))
+    }, required=("id", "actions"))
+    if not fields["actions"]:
+        raise ConfigError(f"{where}.actions: a candidate needs an action")
     return CandidateSolution(fields.pop("id"), **fields)
 
 

@@ -25,7 +25,7 @@ from .clock import DEFAULT_EPOCH, LogicalClock
 from .configs import Manifest
 from .errors import NoFeasibleSolution, ParseError
 from .harness import PhysicalHarness
-from .services import (Deviation, DeviationDetector, Feedback,
+from .services import (Band, Deviation, DeviationDetector, Feedback,
                        FeedbackExecutor, Plan, Predictor, ScenarioGenerator,
                        SolutionFinder, StateMonitor, TwinState)
 from .shadows import ShadowManager
@@ -57,7 +57,6 @@ class TwinManager:
         self.manifest = manifest
         run = manifest.run
         self.run_config = run
-        self.seed = seed
         self.max_ticks = ticks if ticks is not None else run.max_ticks
         self.clock = LogicalClock(epoch=DEFAULT_EPOCH,
                                   tick_interval=run.tick_interval)
@@ -79,6 +78,7 @@ class TwinManager:
                                               created_at=self.clock.at(0))
 
         self.model_manager = ModelManager()
+        self.model_manager.upsert_model(run.model)
         self.engine = ModelEngine(self.model_manager, self.storage,
                                   clock=self.clock.now)
         self.monitor = StateMonitor(self.storage, self.shadow_manager,
@@ -95,10 +95,8 @@ class TwinManager:
             tracer=self.tracer,
             simulate=self.new_scenario_sim,
             catalog=manifest.candidates,
-            desired_band=manifest.bands.get(
-                settings.objective_metric) or _any_band(manifest.bands))
-
-        self._model_pushed = False
+            desired_band=manifest.bands.get(settings.objective_metric)
+            or next(iter(manifest.bands.values()), Band(lo=0.0, hi=1.0)))
 
     # -- shared hops -------------------------------------------------------------
 
@@ -106,7 +104,6 @@ class TwinManager:
         """Run one what-if scenario, from the Planner's newScenarioSim
         hop to its stored result, and return its objective."""
         self.tracer.record(*hop.NEW_SCENARIO_SIM, scenario.to_json())
-        self._push_model()
         scenario_id = self.engine.scenario_sim(scenario)
         self.tracer.record(*hop.MODEL_EXECUTION, {"scenario_id": scenario_id})
         (result,) = self.engine.drain()
@@ -115,18 +112,13 @@ class TwinManager:
                             "objective": result.objective})
         return result.objective
 
-    def _push_model(self) -> None:
-        if self._model_pushed:
-            return
-        self.model_manager.upsert_model(self.run_config.model)
-        self._model_pushed = True
-
     # -- ingest ------------------------------------------------------------------
 
-    def _ingest_tick(self, tick: int) -> int:
-        """Emit, parse, store, and shadow one tick's payloads."""
+    def _ingest_tick(self, tick: int) -> None:
+        """Advance to `tick`; emit, parse, store, and shadow its payloads."""
+        self.clock.advance()
+        self.tracer.advance(tick)
         run = self.run_config
-        stored_total = 0
         for payload in self.harness.emit(tick):
             try:
                 receipt = self.p2d.ingest(payload, run.entity_id,
@@ -146,8 +138,6 @@ class TwinManager:
                 updated.extend(
                     self.shadow_manager.update_from_measurement(measurement))
             self.tracer.record(*hop.UPDATE_SHADOWS, {"shadows": updated})
-            stored_total += receipt.stored
-        return stored_total
 
     # -- monitoring loop -----------------------------------------------------------
 
@@ -179,14 +169,11 @@ class TwinManager:
         run = self.run_config
         output = RunOutput(tracer=self.tracer)
         for tick in range(1, self.max_ticks + 1):
-            self.clock.advance()
-            self.tracer.advance(tick)
             output.ticks_run = tick
             self._ingest_tick(tick)
 
-            if not self._model_pushed:
+            if tick == 1:   # the model was registered at construction
                 self.tracer.record(*hop.UPDATE_MODEL, run.model.to_json())
-                self._push_model()
             scenario = self._current_conditions_scenario(tick)
             self.tracer.record(*hop.EXECUTE_SIMULATION, scenario.to_json())
             result = self.engine.model_execution(scenario)
@@ -197,6 +184,7 @@ class TwinManager:
             self.tracer.record(*hop.COMPUTE_STATE, {"entity": run.entity_id})
             state = self.monitor.get_state(run.entity_id)
             output.states[run.entity_id] = state
+            self.monitor.store_state(state)
             self.tracer.record(*hop.STORE_STATE,
                                {"metrics": state.metrics,
                                 "provenance": state.provenance.value})
@@ -220,19 +208,15 @@ class TwinManager:
 
     def _pick_deviation(self, deviations: list[Deviation]) -> Deviation:
         input_metric = self.generator.settings.input_metric
-        for deviation in deviations:
-            if deviation.metric == input_metric:
-                return deviation
-        return deviations[0]
+        return next((d for d in deviations if d.metric == input_metric),
+                    deviations[0])
 
     def run_prediction(self) -> RunOutput:
         run = self.run_config
         output = RunOutput(tracer=self.tracer)
         for tick in range(1, self.max_ticks + 1):
-            self.clock.advance()
-            self.tracer.advance(tick)
-            self._ingest_tick(tick)
             output.ticks_run = tick
+            self._ingest_tick(tick)
 
         self.tracer.record(*hop.FORECAST,
                            {"entity": run.entity_id, "horizon": run.horizon})
@@ -300,11 +284,6 @@ class TwinManager:
 
     def shutdown(self) -> None:
         self.storage.close()
-
-
-def _any_band(bands: dict):
-    from .services import Band
-    return next(iter(bands.values()), Band(lo=0.0, hi=1.0))
 
 
 def run_loop(manifest: Manifest, loop: str, seed: int = 0,

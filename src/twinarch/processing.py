@@ -10,7 +10,7 @@ measurements, and the whole step is idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .wire.common import Measurement, is_number
 
@@ -25,18 +25,14 @@ UNIT_TABLE: dict[str, tuple[str, float]] = {
 
 
 @dataclass(frozen=True)
-class ProcessStats:
-    input_count: int
-    output_count: int
+class ProcessResult:
+    """The kept measurements; each other input is one drop, so `len(raw)
+    == len(measurements) + duplicates_dropped + non_finite_dropped`."""
+
+    measurements: list[Measurement]
     duplicates_dropped: int = 0
     non_finite_dropped: int = 0
     units_normalized: int = 0
-
-
-@dataclass(frozen=True)
-class ProcessResult:
-    measurements: list[Measurement] = field(default_factory=list)
-    stats: ProcessStats = field(default=ProcessStats(0, 0))
 
 
 def _normalize_unit(m: Measurement) -> tuple[Measurement, bool]:
@@ -71,12 +67,6 @@ def process(raw: list[Measurement]) -> ProcessResult:
         seen.add(identity)
         kept.append(m)
     kept.sort(key=lambda m: (m.observed_at, m.entity_id, m.attribute))
-    return ProcessResult(
-        measurements=kept,
-        stats=ProcessStats(
-            input_count=len(raw),
-            output_count=len(kept),
-            duplicates_dropped=duplicates,
-            non_finite_dropped=non_finite,
-            units_normalized=normalized,
-        ))
+    return ProcessResult(measurements=kept, duplicates_dropped=duplicates,
+                         non_finite_dropped=non_finite,
+                         units_normalized=normalized)

@@ -210,7 +210,8 @@ class StateMonitor:
         return {name: (stamp, float(value)) for name, value in final.items()}
 
     def get_state(self, entity_id: str) -> TwinState:
-        """Fuse latest real and simulated values; commit the state."""
+        """Fuse the latest real and simulated values. A read: it writes
+        nothing, and `store_state` commits what it returns."""
         now = self._clock()
         real = self.shadow_manager.latest_points(entity_id)
         sim = self._sim_latest(entity_id, now)
@@ -233,12 +234,14 @@ class StateMonitor:
             provenance = Provenance.REAL_ONLY
         else:
             provenance = Provenance.SIM_ONLY
-        state = TwinState(entity_id=entity_id, computed_at=now,
-                          metrics=metrics, provenance=provenance)
-        key = RecordKey(namespace=Namespace.STATES, entity_id=entity_id,
+        return TwinState(entity_id=entity_id, computed_at=now,
+                         metrics=metrics, provenance=provenance)
+
+    def store_state(self, state: TwinState) -> None:
+        """Commit `state` to the States namespace: the storeState hop."""
+        key = RecordKey(namespace=Namespace.STATES, entity_id=state.entity_id,
                         name="state", observed_at=state.computed_at)
         self.storage.upsert(key, state.to_json())
-        return state
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +415,28 @@ class SimulationSettings:
     seed: int = 0
 
 
+def check_action(action: Action) -> None:
+    """Refuse an action that `ScenarioGenerator.gen_scenario` cannot
+    map: extend-green needs a numeric `seconds`, divert-traffic a
+    numeric `fraction` in [0, 1], and any other name is unmappable."""
+    if action.name == "extend-green":
+        if not is_number(action.arguments.get("seconds")):
+            raise UnmappableAction("extend-green needs a numeric 'seconds'")
+    elif action.name == "divert-traffic":
+        fraction = action.arguments.get("fraction")
+        if not is_number(fraction) or not 0 <= fraction <= 1:
+            raise UnmappableAction(
+                "divert-traffic needs a numeric 'fraction' in [0, 1]")
+    else:
+        raise UnmappableAction(f"no mapping for action {action.name!r}")
+
+
 class ScenarioGenerator:
     """Turns (deviation, candidate) into a concrete what-if scenario.
 
     Action mapping: extend-green(seconds) becomes the green_extension
     parameter override; divert-traffic(fraction) scales the inflow
-    series by (1 - fraction). Unknown actions are unmappable.
+    series by (1 - fraction). `check_action` refuses any other action.
     """
 
     def __init__(self, state_monitor: StateMonitor,
@@ -425,10 +444,6 @@ class ScenarioGenerator:
         self.state_monitor = state_monitor
         self.settings = settings
         self._counter = 0
-
-    def _next_id(self, candidate: CandidateSolution) -> str:
-        self._counter += 1
-        return f"whatif-{self._counter}-{candidate.candidate_id}"
 
     def initial_state_for(self, entity_id: str) -> dict[str, float]:
         """Seed state for what-if runs: the current fused value of the
@@ -453,21 +468,16 @@ class ScenarioGenerator:
         overrides: dict[str, float] = {}
         series = [float(v) for v in inflow_series]
         for action in candidate.actions:
+            check_action(action)
             if action.name == "extend-green":
-                seconds = action.arguments.get("seconds")
-                if seconds is None:
-                    raise UnmappableAction("extend-green needs 'seconds'")
-                overrides["green_extension"] = float(seconds)
-            elif action.name == "divert-traffic":
-                fraction = action.arguments.get("fraction")
-                if fraction is None or not 0 <= fraction <= 1:
-                    raise UnmappableAction(
-                        "divert-traffic needs 'fraction' in [0, 1]")
-                series = [v * (1.0 - float(fraction)) for v in series]
+                overrides["green_extension"] = float(
+                    action.arguments["seconds"])
             else:
-                raise UnmappableAction(f"no mapping for action {action.name!r}")
+                fraction = float(action.arguments["fraction"])
+                series = [v * (1.0 - fraction) for v in series]
+        self._counter += 1
         return SimScenario(
-            scenario_id=self._next_id(candidate),
+            scenario_id=f"whatif-{self._counter}-{candidate.candidate_id}",
             model_id=self.settings.model_id,
             initial_state=dict(initial_state),
             input_series={self.settings.input_name: series},
@@ -606,20 +616,17 @@ class FeedbackExecutor:
             feedback = Feedback(variant="command-plan", entity_id=entity_id,
                                 issued_at=issued_at, plan=item,
                                 correlation=item.deviation_id)
-        elif isinstance(item, Deviation):
-            message = self.alert_message(item)
-            self.adapter.emit_alert(message, item.severity.value, issued_at)
+        elif item is None or isinstance(item, Deviation):
+            if item is None:
+                message, severity, correlation = (
+                    self.config.ok_message, Severity.INFO, None)
+            else:
+                message, severity, correlation = (
+                    self.alert_message(item), item.severity, item.deviation_id)
+            self.adapter.emit_alert(message, severity.value, issued_at)
             feedback = Feedback(variant="alert", entity_id=entity_id,
                                 issued_at=issued_at, message=message,
-                                severity=item.severity,
-                                correlation=item.deviation_id)
-        elif item is None:
-            self.adapter.emit_alert(self.config.ok_message,
-                                    Severity.INFO.value, issued_at)
-            feedback = Feedback(variant="alert", entity_id=entity_id,
-                                issued_at=issued_at,
-                                message=self.config.ok_message,
-                                severity=Severity.INFO)
+                                severity=severity, correlation=correlation)
         else:
             raise TypeError(f"cannot execute feedback for {type(item).__name__}")
         self._record(feedback)

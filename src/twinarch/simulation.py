@@ -211,10 +211,15 @@ def validate_scenario(scenario: SimScenario, spec: ModelSpec) -> None:
             and scenario.objective_metric not in spec.outputs):
         raise InvalidSpec(
             f"objective metric {scenario.objective_metric!r} is not an output")
-    for name, series in scenario.input_series.items():
-        for v in series:
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise InvalidSpec(f"non-finite value in series {name!r}")
+    # `is_number`'s rule inline, since a call per step costs: `type`
+    # refuses a bool, and `isfinite` overflows on an int too large
+    try:
+        for name, series in scenario.input_series.items():
+            for v in series:
+                if type(v) not in (int, float) or not math.isfinite(v):
+                    raise InvalidSpec(f"non-finite value in series {name!r}")
+    except OverflowError:
+        raise InvalidSpec(f"non-finite value in series {name!r}") from None
     for name, v in scenario.initial_state.items():
         if not is_number(v):
             raise InvalidSpec(f"non-finite initial state {name}={v!r}")

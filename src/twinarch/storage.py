@@ -50,6 +50,8 @@ from .errors import DuplicateKey, InvalidQuery, JournalCorrupt, NotFound
 
 log = logging.getLogger("twinarch.storage")
 
+_TORN = "%s: dropped a torn final line of %d bytes"
+
 
 class Namespace(Enum):
     MEASUREMENTS = "Measurements"
@@ -193,6 +195,8 @@ class SharedStorage:
         if self._journal_path is not None:
             self._journal_path.parent.mkdir(parents=True, exist_ok=True)
             self._journal_file = self._journal_path.open("a", encoding="utf-8")
+            if size := self._journal_file.tell():   # 0 for a new journal
+                self._drop_torn_tail(size)
         # the lines of one tick, or of one payload, share their stamps
         self._committed_at = _Stamp()
         self._observed_at = _Stamp()
@@ -216,6 +220,18 @@ class SharedStorage:
             + ', "revision": ' + str(record.revision) + "}\n")
         self._journal_file.flush()
 
+    def _drop_torn_tail(self, size: int) -> None:
+        """Cut a final line without its newline from the journal's `size`
+        bytes, as `replay` drops it, so the next line starts its own."""
+        with self._journal_path.open("rb") as fh:
+            fh.seek(size - 1)
+            if fh.read(1) == b"\n":
+                return
+            fh.seek(0)
+            keep = fh.read().rfind(b"\n") + 1
+        log.warning(_TORN, self._journal_path, size - keep)
+        self._journal_file.truncate(keep)
+
     @classmethod
     def replay(cls, journal_path: str | Path) -> "SharedStorage":
         """Rebuild a store from its journal. The copy does not re-journal.
@@ -229,8 +245,7 @@ class SharedStorage:
         with open(journal_path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 if line[-1] != "\n":
-                    log.warning("%s: dropped a torn final line of %d bytes",
-                                journal_path, len(line.encode("utf-8")))
+                    log.warning(_TORN, journal_path, len(line.encode("utf-8")))
                     break
                 if line.isspace():
                     continue

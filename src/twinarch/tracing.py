@@ -209,27 +209,27 @@ class SequenceTemplate:
 
 
 @dataclass(frozen=True)
-class Divergence:
-    index: int                  # event index, or len(trace) when truncated
-    got: str
-    expected: str
-
-    def describe(self) -> str:
-        return f"at event {self.index}: got {self.got}, expected {self.expected}"
-
-
-@dataclass(frozen=True)
 class MatchReport:
+    """A check's outcome. A failed one holds the first divergence: its
+    event index (len(trace) when the trace ended early), what was there
+    and what the template expected."""
+
     template: str
-    ok: bool
     instances: int
-    divergence: Divergence | None = None
+    index: int | None = None
+    got: str | None = None
+    expected: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.expected is None
 
     def describe(self) -> str:
         if self.ok:
             return (f"{self.template}: Pass "
                     f"({self.instances} instance(s) matched)")
-        return f"{self.template}: Fail {self.divergence.describe()}"
+        return (f"{self.template}: Fail at event {self.index}: "
+                f"got {self.got}, expected {self.expected}")
 
 
 def _event_str(events: list[TraceEvent], index: int) -> str:
@@ -240,10 +240,11 @@ def _event_str(events: list[TraceEvent], index: int) -> str:
 
 
 def _try_group(events: list[TraceEvent], start: int,
-               group: StepGroup) -> tuple[int, bool, Divergence | None]:
+               group: StepGroup) -> tuple[int, bool, tuple | None]:
     """Attempt one pass through the group from `start`.
 
-    Returns (next index, entered, divergence). Once any step has been
+    Returns (next index, entered, divergence), a divergence being
+    `MatchReport`'s (index, got, expected). Once any step has been
     consumed the group is committed: a later required mismatch is a
     hard divergence, not a clean no-entry.
     """
@@ -257,9 +258,8 @@ def _try_group(events: list[TraceEvent], start: int,
         if step.optional:
             continue
         if consumed:
-            return i, False, Divergence(
-                index=i, got=_event_str(events, i),
-                expected=f"{step.describe()} (in group {group.name!r})")
+            return i, False, (i, _event_str(events, i),
+                              f"{step.describe()} (in group {group.name!r})")
         return start, False, None
     return i, consumed, None
 
@@ -269,6 +269,10 @@ def check_trace(events: list[TraceEvent],
     """Verify that the trace is a sequence of template instances."""
     i = 0
     instances = 0
+
+    def fail(index: int, got: str, expected: str) -> MatchReport:
+        return MatchReport(template.name, instances, index, got, expected)
+
     while i < len(events):
         start = i
         entered: dict[str, int] = {}
@@ -277,9 +281,7 @@ def check_trace(events: list[TraceEvent],
             while True:
                 j, ok, divergence = _try_group(events, i, group)
                 if divergence is not None:
-                    return MatchReport(template=template.name, ok=False,
-                                       instances=instances,
-                                       divergence=divergence)
+                    return fail(*divergence)
                 if not ok:
                     break
                 i = j
@@ -290,53 +292,38 @@ def check_trace(events: list[TraceEvent],
                 expected = next(
                     (s for s in group.steps if not s.optional),
                     group.steps[0])
-                return MatchReport(
-                    template=template.name, ok=False, instances=instances,
-                    divergence=Divergence(
-                        index=i, got=_event_str(events, i),
-                        expected=f"{expected.describe()} "
-                                 f"(group {group.name!r})"))
+                return fail(i, _event_str(events, i),
+                            f"{expected.describe()} (group {group.name!r})")
             entered[group.name] = count
         if i == start:
-            return MatchReport(
-                template=template.name, ok=False, instances=instances,
-                divergence=Divergence(
-                    index=i, got=_event_str(events, i),
-                    expected="any template step (no progress)"))
-        rule_failure = _check_rules(template, entered, i, events)
+            return fail(i, _event_str(events, i),
+                        "any template step (no progress)")
+        rule_failure = _check_rules(template, entered, i)
         if rule_failure is not None:
-            return MatchReport(template=template.name, ok=False,
-                               instances=instances, divergence=rule_failure)
+            return fail(*rule_failure)
         instances += 1
     if instances == 0:
-        return MatchReport(
-            template=template.name, ok=False, instances=0,
-            divergence=Divergence(index=0, got="end of trace",
-                                  expected="at least one template instance"))
-    return MatchReport(template=template.name, ok=True, instances=instances)
+        return fail(0, "end of trace", "at least one template instance")
+    return MatchReport(template.name, instances)
 
 
 def _check_rules(template: SequenceTemplate, entered: dict[str, int],
-                 index: int, events: list[TraceEvent]) -> Divergence | None:
+                 index: int) -> tuple | None:
     for rule in template.rules:
         condition = entered.get(rule.when, 0) > 0
         matched = [name for name in rule.options if entered.get(name, 0) > 0]
         if rule.mode == "exactly-one-iff":
             if condition and len(matched) != 1:
-                return Divergence(
-                    index=index, got=f"groups {matched or 'none'}",
-                    expected=f"exactly one of {list(rule.options)} "
-                             f"after {rule.when!r}")
+                return (index, f"groups {matched or 'none'}",
+                        f"exactly one of {list(rule.options)} "
+                        f"after {rule.when!r}")
             if not condition and matched:
-                return Divergence(
-                    index=index, got=f"groups {matched}",
-                    expected=f"none of {list(rule.options)} "
-                             f"without {rule.when!r}")
+                return (index, f"groups {matched}",
+                        f"none of {list(rule.options)} without {rule.when!r}")
         elif rule.mode == "only-if":
             if not condition and matched:
-                return Divergence(
-                    index=index, got=f"groups {matched}",
-                    expected=f"{list(rule.options)} only after {rule.when!r}")
+                return (index, f"groups {matched}",
+                        f"{list(rule.options)} only after {rule.when!r}")
     return None
 
 

@@ -110,6 +110,29 @@ def test_ingest_writes_receipts_and_a_replayable_journal(
     assert len(rows) == 2
 
 
+def test_ingest_appends_after_a_torn_tail(tmp_path, monkeypatch, capsys,
+                                          caplog):
+    journal = tmp_path / "journal.jsonl"
+    monkeypatch.setattr("sys.stdin", io.StringIO("f|20\nf|25\n"))
+    assert main(["ingest", "--format", "ultralight", "--device", "TLF01",
+                 "--journal", str(journal)]) == 0
+    data = journal.read_bytes()
+    journal.write_bytes(data[:-10])     # a crash in the second line
+    tail = len(data) - 10 - (data.index(b"\n") + 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO("f|30\n"))
+    assert main(["ingest", "--format", "ultralight", "--device", "TLF01",
+                 "--journal", str(journal)]) == 0
+    (warning,) = caplog.records
+    assert warning.getMessage() == \
+        f"{journal}: dropped a torn final line of {tail} bytes"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 2 and lines[0] == data[:data.index(b"\n") + 1]
+    capsys.readouterr()
+    assert main(["store", "dump", "--journal", str(journal),
+                 "--namespace", "Measurements"]) == 0
+    assert capsys.readouterr().out
+
+
 def test_ingest_reports_bad_lines_without_dying(tmp_path, monkeypatch, capsys):
     journal = tmp_path / "journal.jsonl"
     monkeypatch.setattr("sys.stdin", io.StringIO("f|\nf|30\n"))
@@ -518,6 +541,24 @@ def test_run_prediction_without_candidates_exits_2(tmp_path, repo_root):
     manifest = write_manifest(tmp_path, repo_root, name="monitoring")
     assert main(["run", "--loop", "prediction",
                  "--config", str(manifest)]) == 2
+
+
+@pytest.mark.parametrize("action", [
+    {"name": "divert-traffic", "args": {"fraction": "0.5"}},
+    {"name": "extend-green", "args": {"seconds": float("nan")}},
+    {"name": "divert-traffic", "args": {"fraction": True}},
+    {"name": "open-bridge"},
+], ids=["text-fraction", "nan-seconds", "boolean-fraction", "unknown-name"])
+def test_run_refuses_an_unmappable_candidate_at_load(tmp_path, repo_root,
+                                                     action, capsys):
+    manifest = write_manifest(tmp_path, repo_root, name="prediction")
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc["candidates"] = {"candidates": [{"id": "c", "actions": [action]}]}
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--loop", "prediction",
+                 "--config", str(manifest)]) == 2
+    assert "candidates.candidates[0].actions[0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -- service -----------------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_monitoring_demo_conforms(monitoring_run):
     output, _ = monitoring_run
     assert output.ticks_run == 10
     assert output.report is not None
-    assert output.report.ok, output.report.divergence
+    assert output.report.ok, output.report.describe()
     assert output.report.instances == 10
 
 
@@ -113,7 +113,7 @@ def test_prediction_demo_conforms(prediction_run):
     output, _ = prediction_run
     assert output.ticks_run == 12
     assert output.report is not None
-    assert output.report.ok, output.report.divergence
+    assert output.report.ok, output.report.describe()
 
 
 def test_prediction_plans_the_cheapest_feasible_candidate(prediction_run):
@@ -141,13 +141,20 @@ def test_prediction_commands_are_acked(prediction_run):
 def test_a_what_if_does_not_pass_for_the_present(repo_root):
     # a what-if ends after the run's last tick: it is not current state
     manifest = demo_manifest(repo_root, "prediction", "prediction")
-    output, manager = run_loop(manifest, "prediction", seed=0)
+    manager = TwinManager(manifest, seed=0)
+    read, seeds = manager.monitor.get_state, []
+
+    def read_and_keep(entity_id):
+        seeds.append(read(entity_id))
+        return seeds[-1]
+
+    manager.monitor.get_state = read_and_keep
     try:
+        output = manager.run_prediction()
         assert output.plan is not None
-        (before_search,) = manager.storage.crud_read(
-            Query(namespace=Namespace.STATES))
-        state = manager.monitor.get_state("TLF01")
-        assert state.to_json() == before_search.body
+        (before_search,) = seeds    # the search seed, read once
+        state = read("TLF01")
+        assert state.to_json() == before_search.to_json()
         assert state.metrics == {"vehicleFlow": 42}
         assert state.provenance is Provenance.REAL_ONLY
     finally:
@@ -163,7 +170,7 @@ def test_prediction_healthy_run_skips_the_whatif_branch(repo_root):
     try:
         assert output.plan is None
         assert output.feedbacks == []
-        assert output.report.ok, output.report.divergence
+        assert output.report.ok, output.report.describe()
         messages = {e.message for e in output.tracer.events}
         assert "genScenario" not in messages
         assert "deviation" not in messages
@@ -227,7 +234,7 @@ def test_corrupt_payload_drops_the_tick_but_stays_conformant(repo_root):
     manifest = dataclasses.replace(manifest, harness=harness)
     output, manager = run_loop(manifest, "monitoring", seed=0, check=True)
     try:
-        assert output.report.ok, output.report.divergence
+        assert output.report.ok, output.report.describe()
         tick3 = [e for e in output.tracer.events
                  if e.tick == 3 and e.message == "transmitData"]
         assert tick3 == []
@@ -289,7 +296,7 @@ def test_swapped_template_override_fails_conformance(repo_root):
     try:
         assert output.report is not None
         assert not output.report.ok
-        assert output.report.divergence is not None
+        assert output.report.expected is not None
     finally:
         manager.shutdown()
 

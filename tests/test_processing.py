@@ -19,9 +19,7 @@ def m(attr="flow", value=1, t=0, entity="e1", unit=None):
 def test_duplicates_collapse_first_wins():
     result = process([m(value=1), m(value=2), m(value=3, t=1)])
     assert [x.value for x in result.measurements] == [1, 3]
-    assert result.stats.duplicates_dropped == 1
-    assert result.stats.input_count == 3
-    assert result.stats.output_count == 2
+    assert result.duplicates_dropped == 1
 
 
 def test_output_sorted_by_time_entity_attribute():
@@ -38,8 +36,8 @@ def test_non_finite_values_dropped():
                       m(value=5.0, t=2), m(value=1e308, t=3, unit="m/s"),
                       m(value=10**400, t=4)])
     assert [x.value for x in result.measurements] == [5.0]
-    assert result.stats.non_finite_dropped == 4
-    assert result.stats.units_normalized == 0
+    assert result.non_finite_dropped == 4
+    assert result.units_normalized == 0
 
 
 def test_unit_conversion_to_canonical():
@@ -55,7 +53,7 @@ def test_unit_conversion_to_canonical():
     assert by_t[ts(2)].unit == "s"
     assert by_t[ts(3)].value == 30          # already canonical: untouched
     assert by_t[ts(4)].unit == "furlongs"   # unknown unit: passed through
-    assert result.stats.units_normalized == 3
+    assert result.units_normalized == 3
 
 
 def test_non_numeric_values_skip_unit_conversion():
@@ -79,15 +77,15 @@ def test_process_is_idempotent(raw):
     once = process(raw)
     twice = process(once.measurements)
     assert twice.measurements == once.measurements
-    assert twice.stats.duplicates_dropped == 0
-    assert twice.stats.non_finite_dropped == 0
-    assert twice.stats.units_normalized == 0
+    assert twice.duplicates_dropped == 0
+    assert twice.non_finite_dropped == 0
+    assert twice.units_normalized == 0
 
 
 @given(st.lists(_measurements, max_size=30))
 def test_stats_account_for_every_input(raw):
-    stats = process(raw).stats
-    assert (stats.output_count + stats.duplicates_dropped
-            + stats.non_finite_dropped == stats.input_count)
+    result = process(raw)
+    assert (len(result.measurements) + result.duplicates_dropped
+            + result.non_finite_dropped == len(raw))
     assert all(not (isinstance(x.value, float) and not math.isfinite(x.value))
                for x in process(raw).measurements)

@@ -100,9 +100,11 @@ def test_fusion_tie_prefers_the_shadow():
     assert monitor.get_state("TLF01").metrics["density"] == 0.9
 
 
-def test_get_state_commits_to_states_namespace():
+def test_store_state_commits_what_get_state_reads():
     storage, _, monitor = road_stack([("density", 0.4, 1)])
-    monitor.get_state("TLF01")
+    state = monitor.get_state("TLF01")
+    assert storage.count(Namespace.STATES) == 0     # a read writes nothing
+    monitor.store_state(state)
     (rec,) = storage.crud_read(Query(namespace=Namespace.STATES))
     assert rec.body == {"metrics": {"density": 0.4}, "provenance": "RealOnly",
                         "computed_at": "2024-12-10T12:01:40Z"}

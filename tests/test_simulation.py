@@ -69,6 +69,8 @@ def test_scenario_validation_rejections():
         scenario(input_series={"nitrogen": [1.0]}),
         scenario(objective_metric="speed"),
         scenario(input_series={"inflow": [1.0, float("nan")]}),
+        scenario(input_series={"inflow": [1.0, 10**400]}),
+        scenario(input_series={"inflow": [True]}),
         scenario(overrides={"capacity": -5.0}),   # merged params re-checked
         scenario(initial_state={"density": float("nan")}),
     ]

@@ -133,7 +133,7 @@ def test_simple_template_counts_instances():
 def test_empty_trace_is_a_failure():
     report = check_trace([], SIMPLE)
     assert not report.ok
-    assert report.divergence.expected == "at least one template instance"
+    assert report.expected == "at least one template instance"
 
 
 def test_mismatch_after_commitment_is_a_divergence():
@@ -141,16 +141,16 @@ def test_mismatch_after_commitment_is_a_divergence():
                    ("TwinManager", "ModelManager", "m1"))
     report = check_trace(trace, SIMPLE)
     assert not report.ok
-    assert report.divergence.index == 1
-    assert "ModelManager -> DataManager: m2" in report.divergence.expected
-    assert "group 'go'" in report.divergence.expected
+    assert report.index == 1
+    assert "ModelManager -> DataManager: m2" in report.expected
+    assert "group 'go'" in report.expected
     assert "Fail at event 1" in report.describe()
 
 
 def test_truncated_trace_reports_end_of_trace():
     report = check_trace(events(("TwinManager", "ModelManager", "m1")), SIMPLE)
     assert not report.ok
-    assert report.divergence.got == "end of trace"
+    assert report.got == "end of trace"
 
 
 def test_required_group_missing_is_a_divergence():
@@ -163,7 +163,7 @@ def test_required_group_missing_is_a_divergence():
                                 ("TwinManager", "ModelManager", "m1")),
                          template)
     assert not report.ok
-    assert "group 'b'" in report.divergence.expected
+    assert "group 'b'" in report.expected
 
 
 def test_unmatchable_event_fails_without_progress():
@@ -174,7 +174,7 @@ def test_unmatchable_event_fails_without_progress():
     report = check_trace(events(("DataManager", "ShadowManager", "junk")),
                          template)
     assert not report.ok
-    assert report.divergence.expected == "any template step (no progress)"
+    assert report.expected == "any template step (no progress)"
 
 
 def test_optional_steps_and_repeatable_groups():
@@ -233,8 +233,8 @@ def test_monitoring_swapped_adjacent_events_diverge():
     steps[1], steps[2] = steps[2], steps[1]
     report = check_trace(events(*steps), monitoring_template())
     assert not report.ok
-    assert report.divergence.index == 1
-    assert "storeData" in report.divergence.expected
+    assert report.index == 1
+    assert "storeData" in report.expected
 
 
 def test_feedback_group_optional_only_when_flagged():
@@ -288,7 +288,7 @@ def test_prediction_choice_rules():
     template = prediction_template()
     # a deviation must be answered by exactly one delivery
     silent = check_trace(prediction_events(plan=False), template)
-    assert not silent.ok and "exactly one" in silent.divergence.expected
+    assert not silent.ok and "exactly one" in silent.expected
     both = check_trace(prediction_events(plan=True, alert=True), template)
     assert not both.ok
     # no deviation: no deliveries allowed
@@ -299,7 +299,7 @@ def test_prediction_choice_rules():
     unprompted = check_trace(
         prediction_events(deviation=False, whatif=1, plan=False), template)
     assert not unprompted.ok
-    assert "only after" in unprompted.divergence.expected
+    assert "only after" in unprompted.expected
 
 
 # --- template JSON -----------------------------------------------------------
