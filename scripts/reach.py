@@ -9,7 +9,9 @@ runs, in one process:
   narrators, from copies of `configs/demo` staged in a temporary
   directory, so the tracked `out/` is not rewritten;
 * every CLI subcommand on those runs' journals and on `fixtures/`,
-  `ingest` once from stdin and once over `--listen`;
+  `ingest` from stdin, a second time into the ultralight journal so
+  that a store opens on a journal with history, and once over
+  `--listen`;
 * one session of each twinbench workload, with `twinbench/workloads.py`
   loaded by path.
 
@@ -130,6 +132,11 @@ def _run_cli(tmp: Path) -> None:
         codes.append(_cli(["ingest", "--format", fmt, "--device", "d1",
                            "--journal", str(tmp / f"ingest-{fmt}.jsonl"),
                            *flags], stdin=path.read_text(encoding="utf-8")))
+    # a journal with history is replayed, and its revisions continue
+    fmt, payload, flags = PAYLOADS[0]
+    codes.append(_cli(["ingest", "--format", fmt, "--device", "d1",
+                       "--journal", str(tmp / f"ingest-{fmt}.jsonl"), *flags],
+                      stdin=(FIXTURES / payload).read_text(encoding="utf-8")))
     listen = tmp / "ingest.sock"
     client = threading.Thread(target=_send, args=(listen, "f|35\nf|36\n"))
     client.start()

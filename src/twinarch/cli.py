@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", parents=[adapter],
                        help="ingest line-delimited payloads into a journal")
     p.add_argument("--device", required=True)
-    p.add_argument("--journal", help="journal file to append to")
+    p.add_argument("--journal", help="journal file to replay and continue")
     p.add_argument("--listen", metavar="SOCKET",
                    help="serve a local stream socket instead of stdin")
     p.add_argument("--connections", type=_positive_int, default=1,

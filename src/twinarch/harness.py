@@ -71,14 +71,6 @@ class ActuatorState:
     applied_at: int | None = None
 
 
-@dataclass
-class _PendingCommand:
-    apply_at: int
-    command: str
-    args: dict
-    correlation_id: str
-
-
 class PhysicalHarness:
     """Drives telemetry out and applies commands in, tick by tick."""
 
@@ -92,7 +84,8 @@ class PhysicalHarness:
         self.acks: list[dict] = []
         self._rng = random.Random(config.seed)
         self._tick = 0
-        self._pending: list[_PendingCommand] = []
+        # (apply_at, envelope) of each command received, not yet applied
+        self._pending: list[tuple[int, dict]] = []
         self._delayed: dict[int, list[str]] = {}
         self._schedule = {t: v for t, v in config.schedule}
         self.emitted_flows: list[tuple[int, float]] = []
@@ -100,14 +93,14 @@ class PhysicalHarness:
     # -- outbound ---------------------------------------------------------------
 
     def _apply_pending(self, tick: int) -> None:
-        due = [p for p in self._pending if p.apply_at <= tick]
-        self._pending = [p for p in self._pending if p.apply_at > tick]
-        for p in due:                      # later command wins on ties
-            if p.command == "extend-green":
-                self.actuator.green_extension = float(p.args["seconds"])
-            elif p.command == "divert-traffic":
-                self.actuator.divert_fraction = float(p.args["fraction"])
-            self.actuator.last_correlation_id = p.correlation_id
+        due = [doc for at, doc in self._pending if at <= tick]
+        self._pending = [p for p in self._pending if p[0] > tick]
+        for doc in due:                    # later command wins on ties
+            if doc["command"] == "extend-green":
+                self.actuator.green_extension = float(doc["args"]["seconds"])
+            elif doc["command"] == "divert-traffic":
+                self.actuator.divert_fraction = float(doc["args"]["fraction"])
+            self.actuator.last_correlation_id = doc["correlationId"]
             self.actuator.applied_at = tick
 
     def _fault_at(self, tick: int) -> Fault | None:
@@ -196,7 +189,6 @@ class PhysicalHarness:
         args = doc["args"]
         if not isinstance(args, dict):
             raise MalformedCommand("args must be an object")
-        correlation_id = doc["correlationId"]
         if command == "extend-green":
             if not is_number(args.get("seconds")):
                 raise MalformedCommand("extend-green needs numeric 'seconds'")
@@ -209,7 +201,5 @@ class PhysicalHarness:
             raise MalformedCommand(f"unknown command {command!r}")
         # a command lands during tick t; with latency 0 it takes effect
         # at the next emission, tick t + 1
-        self._pending.append(_PendingCommand(
-            apply_at=self._tick + 1 + self.config.latency,
-            command=command, args=args, correlation_id=correlation_id))
-        return {"status": "ok", "correlationId": correlation_id}
+        self._pending.append((self._tick + 1 + self.config.latency, doc))
+        return {"status": "ok", "correlationId": doc["correlationId"]}

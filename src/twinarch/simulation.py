@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain
 from typing import Callable
@@ -272,20 +272,16 @@ def execute(spec: ModelSpec, scenario: SimScenario,
 # ---------------------------------------------------------------------------
 
 class ModelManager:
-    """Registry of model specs; each write of a model is a new version."""
+    """Registry of model specs, kept as written, one per model id."""
 
     def __init__(self) -> None:
         self._models: dict[str, ModelSpec] = {}
 
-    def upsert_model(self, spec: ModelSpec) -> ModelSpec:
-        """Validate and register `spec` at version 1, or at the current
-        version + 1 when its id is registered."""
+    def upsert_model(self, spec: ModelSpec) -> None:
+        """Validate `spec` and register it in place of any spec under
+        its id."""
         validate_spec(spec)
-        current = self._models.get(spec.model_id)
-        spec = replace(spec, version=1 if current is None
-                       else current.version + 1)
         self._models[spec.model_id] = spec
-        return spec
 
     def get_model(self, model_id: str) -> ModelSpec:
         spec = self._models.get(model_id)

@@ -28,6 +28,11 @@ Journal line format, one JSON object per line:
 Deletions add `"op": "delete"` to the same shape; lines without `op`
 are writes. A line's bytes are exactly `json.dumps(line,
 sort_keys=True)`, written from the line's fixed parts.
+
+A store opened on an existing journal replays it before it appends,
+so revisions continue from the journal's. A final line without its
+newline was torn by a crash mid-write: replay skips it and an open
+cuts it off, each with a warning.
 """
 
 from __future__ import annotations
@@ -77,19 +82,6 @@ class RecordKey:
                 "entity_id": self.entity_id,
                 "name": self.name,
                 "observed_at": format_rfc3339(self.observed_at)}
-
-    @classmethod
-    def from_json(cls, doc: dict, stamps: dict[str, datetime]) -> "RecordKey":
-        """`stamps` keeps the timestamps parsed so far, so that keys
-        sharing a stamp parse it once."""
-        namespace = Namespace(doc["namespace"])
-        entity_id, name = doc["entity_id"], doc["name"]
-        text = doc["observed_at"]
-        observed_at = stamps.get(text) if isinstance(text, str) else None
-        if observed_at is None:
-            observed_at = stamps[text] = parse_rfc3339(text)
-        return cls(namespace=namespace, entity_id=entity_id, name=name,
-                   observed_at=observed_at)
 
 
 @dataclass(frozen=True)
@@ -190,13 +182,14 @@ class SharedStorage:
         self._index: dict[Namespace, dict[str, list[tuple]]] = {
             ns: {} for ns in Namespace}
         self._clock = clock or (lambda: datetime.now(timezone.utc))
-        self._journal_path = Path(journal_path) if journal_path else None
         self._journal_file = None
-        if self._journal_path is not None:
-            self._journal_path.parent.mkdir(parents=True, exist_ok=True)
-            self._journal_file = self._journal_path.open("a", encoding="utf-8")
-            if size := self._journal_file.tell():   # 0 for a new journal
-                self._drop_torn_tail(size)
+        if journal_path:
+            path = Path(journal_path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            torn = self._load(path) if path.exists() else 0
+            self._journal_file = path.open("a", encoding="utf-8")
+            if torn:
+                self._journal_file.truncate(self._journal_file.tell() - torn)
         # the lines of one tick, or of one payload, share their stamps
         self._committed_at = _Stamp()
         self._observed_at = _Stamp()
@@ -220,49 +213,54 @@ class SharedStorage:
             + ', "revision": ' + str(record.revision) + "}\n")
         self._journal_file.flush()
 
-    def _drop_torn_tail(self, size: int) -> None:
-        """Cut a final line without its newline from the journal's `size`
-        bytes, as `replay` drops it, so the next line starts its own."""
-        with self._journal_path.open("rb") as fh:
-            fh.seek(size - 1)
-            if fh.read(1) == b"\n":
-                return
-            fh.seek(0)
-            keep = fh.read().rfind(b"\n") + 1
-        log.warning(_TORN, self._journal_path, size - keep)
-        self._journal_file.truncate(keep)
-
-    @classmethod
-    def replay(cls, journal_path: str | Path) -> "SharedStorage":
-        """Rebuild a store from its journal. The copy does not re-journal.
-
-        A final line without its newline was torn by a crash mid-write:
-        it is dropped with a warning. Any other line that is not a
-        record raises `JournalCorrupt` naming its line number."""
-        store = cls()
+    def _load(self, journal_path: str | Path) -> int:
+        """Commit a journal's lines, before this store has a journal
+        file to write them to; return the byte length of a torn final
+        line (0 when there is none). Any other line that is not a
+        record, or whose revision is not the one `_commit` gives it,
+        raises `JournalCorrupt` naming its line number."""
+        records = self._records
         # the lines of one tick share a stamp, so each is parsed once
         stamps: dict[str, datetime] = {}
         with open(journal_path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 if line[-1] != "\n":
-                    log.warning(_TORN, journal_path, len(line.encode("utf-8")))
-                    break
+                    torn = len(line.encode("utf-8"))
+                    log.warning(_TORN, journal_path, torn)
+                    return torn
                 if line.isspace():
                     continue
                 try:
                     doc = json.loads(line)
-                    key = RecordKey.from_json(doc["key"], stamps)
-                    present = key in store._records
+                    fields = doc["key"]
+                    text = fields["observed_at"]
+                    observed_at = stamps.get(text)
+                    if observed_at is None:
+                        observed_at = stamps[text] = parse_rfc3339(text)
+                    key = RecordKey(Namespace(fields["namespace"]),
+                                    fields["entity_id"], fields["name"],
+                                    observed_at)
+                    current = records.get(key)
                     if doc.get("op") == "delete":
-                        if present:
-                            store._remove(key)
+                        if current is not None:
+                            self._remove(key)
                         continue
-                    store._store(Record(key=key, body=doc["body"],
-                                        revision=doc["revision"]),
-                                 new=not present)
+                    revision = self._commit(key, current, doc["body"])
+                    if doc["revision"] != revision:
+                        raise JournalCorrupt(
+                            f"{journal_path}: line {number}: revision "
+                            f"{doc['revision']!r}, expected {revision}")
                 except (ValueError, KeyError, TypeError) as exc:
                     raise JournalCorrupt(
                         f"{journal_path}: line {number}: {exc!r}") from exc
+        return 0
+
+    @classmethod
+    def replay(cls, journal_path: str | Path) -> "SharedStorage":
+        """Rebuild a store from its journal, as `_load` reads it. The
+        copy does not re-journal."""
+        store = cls()
+        store._load(journal_path)
         return store
 
     def close(self) -> None:

@@ -133,6 +133,56 @@ def test_ingest_appends_after_a_torn_tail(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().out
 
 
+def _ingest(monkeypatch, journal, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return main(["ingest", "--format", "ultralight", "--device", "TLF01",
+                 "--journal", str(journal)])
+
+
+def test_a_second_ingest_continues_the_journal(tmp_path, monkeypatch,
+                                               capsys):
+    # both runs stamp their first line at the same instant: the second
+    # is the key's revision 2, not a second revision 1
+    journal = tmp_path / "journal.jsonl"
+    assert _ingest(monkeypatch, journal, "f|10\n") == 0
+    assert _ingest(monkeypatch, journal, "f|99\n") == 0
+    capsys.readouterr()
+    assert main(["store", "dump", "--journal", str(journal),
+                 "--namespace", "Measurements"]) == 0
+    (row,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert (row["body"]["value"], row["revision"]) == (99, 2)
+
+
+def test_a_revision_out_of_sequence_is_corrupt(tmp_path, monkeypatch,
+                                               capsys):
+    journal = tmp_path / "journal.jsonl"
+    assert _ingest(monkeypatch, journal, "f|10\nf|20\n") == 0
+    first, second = journal.read_text(encoding="utf-8").splitlines(True)
+    assert '"revision": 1}' in second
+    journal.write_text(first + second.replace('"revision": 1}',
+                                              '"revision": 7}'),
+                       encoding="utf-8")
+    capsys.readouterr()
+    assert main(["store", "dump", "--journal", str(journal),
+                 "--namespace", "Measurements"]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: JournalCorrupt: {journal}: line 2: revision 7, expected 1")
+
+
+def test_ingest_onto_a_corrupt_journal_leaves_it_alone(tmp_path, monkeypatch,
+                                                       capsys):
+    journal = tmp_path / "journal.jsonl"
+    assert _ingest(monkeypatch, journal, "f|10\n") == 0
+    journal.write_text(journal.read_text(encoding="utf-8") + "{oops\n",
+                       encoding="utf-8")
+    data = journal.read_bytes()
+    capsys.readouterr()
+    assert _ingest(monkeypatch, journal, "f|20\n") == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: JournalCorrupt: {journal}: line 2: ")
+    assert journal.read_bytes() == data
+
+
 def test_ingest_reports_bad_lines_without_dying(tmp_path, monkeypatch, capsys):
     journal = tmp_path / "journal.jsonl"
     monkeypatch.setattr("sys.stdin", io.StringIO("f|\nf|30\n"))

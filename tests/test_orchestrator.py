@@ -88,22 +88,42 @@ def test_monitoring_feedback_reaches_the_device(monitoring_run):
 
 
 def test_monitoring_journal_survives_replay(repo_root, tmp_path):
+    # the journals of both demo loops, seeds 0-9, keep the revision
+    # rule: they replay, and a store opened on one continues them
+    counts = {"monitoring": (10, 10, 10), "prediction": (12, 0, 1)}
+    for loop in ("monitoring", "prediction"):
+        manifest = demo_manifest(repo_root, loop, loop)
+        for seed in range(10):
+            journal = tmp_path / f"{loop}-{seed}.jsonl"
+            _, manager = run_loop(manifest, loop, seed=seed,
+                                  journal_path=journal)
+            manager.shutdown()
+            live = sorted(manager.storage.all_records(), key=repr)
+            replayed = SharedStorage.replay(journal)
+            reopened = SharedStorage(journal_path=journal)
+            for store in (replayed, reopened):
+                assert sorted(store.all_records(), key=repr) == live
+            assert tuple(len(replayed.crud_read(Query(namespace=ns)))
+                         for ns in (Namespace.MEASUREMENTS, Namespace.STATES,
+                                    Namespace.FEEDBACK)) == counts[loop]
+            top = max(live, key=lambda r: r.revision)
+            assert reopened.upsert(top.key, top.body) == top.revision + 1
+            reopened.close()
+
+
+def test_sim_results_carry_the_manifest_model_version(repo_root):
     manifest = demo_manifest(repo_root, "monitoring", "monitoring")
-    journal = tmp_path / "journal.jsonl"
-    output, manager = run_loop(manifest, "monitoring", seed=0,
-                               journal_path=journal)
+    run = dataclasses.replace(manifest.run, model=dataclasses.replace(
+        manifest.run.model, version=3))
+    _, manager = run_loop(dataclasses.replace(manifest, run=run),
+                          "monitoring", seed=0)
     try:
-        live = {ns: len(manager.storage.crud_read(Query(namespace=ns)))
-                for ns in Namespace}
+        results = manager.storage.crud_read(
+            Query(namespace=Namespace.SIM_RESULTS))
+        assert len(results) == 10
+        assert {r.body["model"]["version"] for r in results} == {3}
     finally:
         manager.shutdown()
-    replayed = SharedStorage.replay(journal)
-    for ns in Namespace:
-        got = len(replayed.crud_read(Query(namespace=ns)))
-        assert got == live[ns], ns
-    assert live[Namespace.MEASUREMENTS] == 10
-    assert live[Namespace.STATES] == 10
-    assert live[Namespace.FEEDBACK] == 10
 
 
 # -- prediction demo ---------------------------------------------------------------

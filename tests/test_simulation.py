@@ -7,6 +7,7 @@ import math
 import random
 import types
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -320,17 +321,21 @@ def test_spec_and_scenario_round_trip_json():
 # --- manager -----------------------------------------------------------------
 
 def test_manager_versions_models():
+    # a spec is registered as written, version included, and replaces
+    # the spec under its id
     mgr = ModelManager()
-    assert mgr.upsert_model(traffic_spec()).version == 1
-    updated = mgr.upsert_model(traffic_spec(capacity=40.0))
-    assert updated.version == 2
+    mgr.upsert_model(traffic_spec())
+    assert mgr.get_model("m1").version == 1
+    mgr.upsert_model(replace(traffic_spec(capacity=40.0), version=3))
+    assert mgr.get_model("m1").version == 3
     assert mgr.get_model("m1").parameters["capacity"] == 40.0
     with pytest.raises(NotFound):
         mgr.get_model("ghost")
     with pytest.raises(InvalidSpec):
         mgr.upsert_model(traffic_spec(capacity=0.0))
-    assert mgr.get_model("m1").version == 2
-    assert mgr.upsert_model(traffic_spec()).version == 3
+    assert mgr.get_model("m1").version == 3
+    mgr.upsert_model(traffic_spec())
+    assert mgr.get_model("m1") == traffic_spec()
 
 
 # --- engine ------------------------------------------------------------------

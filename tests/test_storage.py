@@ -264,8 +264,11 @@ def test_every_byte_prefix_replays_its_complete_lines(repo_root, tmp_path,
     ' "revision": 1}',
     '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
     ' "observed_at": "yesterday"}, "body": 1, "revision": 1}',
+    '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
+    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 7}',
 ], ids=["not-json", "not-object", "key-not-object", "no-key",
-        "unknown-namespace", "unhashable-entity", "bad-stamp"])
+        "unknown-namespace", "unhashable-entity", "bad-stamp",
+        "revision-out-of-sequence"])
 @pytest.mark.parametrize("last", [False, True], ids=["middle", "last"])
 def test_a_bad_complete_line_names_its_number(tmp_path, epoch, line, last):
     journal = tmp_path / "journal.jsonl"
@@ -463,6 +466,16 @@ class StorageMachine(RuleBasedStateMachine):
             return
         self.store.crud_delete(k)
         del self.model[k]
+
+    @rule()
+    def reopen(self):
+        # a store opened on its journal holds what it held, and the
+        # rules above check that later writes continue its revisions
+        self.store.close()
+        self.store = SharedStorage(journal_path=self.journal,
+                                   clock=lambda: ts(0))
+        assert {r.key: (r.body, r.revision)
+                for r in self.store.all_records()} == self.model
 
     @rule(ns=_machine_namespaces,
           entity=st.one_of(st.none(), _machine_entities),
