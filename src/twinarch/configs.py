@@ -94,6 +94,12 @@ def _float(value: object) -> float:
     return float(_number(value))
 
 
+def _name(value: object) -> str:
+    if not _text(value):
+        raise ValueError("must not be empty")
+    return value
+
+
 def _texts(value: object) -> tuple[str, ...]:
     return tuple(_text(item) for item in _list(value))
 
@@ -271,7 +277,7 @@ _PREDICTOR = {"method": _forecast_method, "window": _int, "min_window": _int,
               "moving_average_k": _int, "attributes": _texts}
 _SHADOW_TYPE = {"name": _text, "attributes": _texts, "entity_type": _text}
 _ADAPTER = {"format": Source, "device_filter": _object,
-            "attribute_map": _object, "entity_type": _text,
+            "attribute_map": _mapping(_name), "entity_type": _text,
             "dtdl_model": lambda value: dtdl_interface(
                 value, "run.adapter.dtdl_model")}
 _FEEDBACK = {"alert_templates": _object, "display_names": _object,

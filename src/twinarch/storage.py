@@ -27,7 +27,8 @@ Journal line format, one JSON object per line:
 
 Deletions add `"op": "delete"` to the same shape; lines without `op`
 are writes. A line's bytes are exactly `json.dumps(line,
-sort_keys=True)`, written from the line's fixed parts.
+sort_keys=True)`: the line's fixed parts around the body's text from
+`wire.common.ENCODER`, the one encoder the tracer digests with too.
 
 A store opened on an existing journal replays it before it appends,
 so revisions continue from the journal's. A final line without its
@@ -42,16 +43,15 @@ import heapq
 import itertools
 import json
 import logging
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .clock import format_rfc3339, parse_rfc3339
 from .errors import DuplicateKey, InvalidQuery, JournalCorrupt, NotFound
+from .wire.common import ENCODER
 
 log = logging.getLogger("twinarch.storage")
 
@@ -109,48 +109,8 @@ class Query:
             raise InvalidQuery(f"limit must be >= 1, got {self.limit}")
 
 
-# `json.dumps(..., sort_keys=True)` builds this encoder on every call
-_ENCODER = json.JSONEncoder(sort_keys=True)
 _quote = json.encoder.encode_basestring_ascii
 _NAMESPACE_TEXT = {ns: _quote(ns.value) for ns in Namespace}
-
-
-def _encode_series(series: list) -> str | None:
-    """A state series as JSON text, or None when `series` is not one.
-
-    A state series is a non-empty list of one-key dicts that share one
-    `str` key and hold finite `float` values, such as a simulation's
-    `[{"density": 0.1}, ...]`. The generic encoder writes a finite
-    float as `float.__repr__`, so one join writes the same text."""
-    if not series or set(map(type, series)) != {dict}:
-        return None
-    names = set(itertools.chain.from_iterable(series))
-    # with one name in all, no dict has two keys; all() rules out {}
-    if len(names) != 1 or not all(series):
-        return None
-    (name,) = names
-    if type(name) is not str:
-        return None
-    values = list(map(itemgetter(name), series))
-    if (set(map(type, values)) != {float}
-            or not all(map(math.isfinite, values))):
-        return None
-    head = "{" + _quote(name) + ": "
-    return "[" + head + ("}, " + head).join(map(float.__repr__, values)) + "}]"
-
-
-def _encode_body(body: object) -> str:
-    """`body` as `json.dumps(body, sort_keys=True)` writes it."""
-    if type(body) is dict and list in map(type, body.values()):
-        series = {name: text for name, value in body.items()
-                  if type(value) is list
-                  and (text := _encode_series(value)) is not None}
-        if series and all(type(name) is str for name in body):
-            return "{" + ", ".join(
-                _quote(name) + ": " + (series[name] if name in series
-                                       else _ENCODER.encode(body[name]))
-                for name in sorted(body)) + "}"
-    return _ENCODER.encode(body)
 
 
 class _Stamp:
@@ -203,7 +163,7 @@ class SharedStorage:
         # writes them; a stamp is RFC 3339 text and needs no escaping
         key = record.key
         self._journal_file.write(
-            '{"body": ' + _encode_body(record.body)
+            '{"body": ' + ENCODER.encode(record.body)
             + ', "committed_at": "' + self._committed_at(self._clock())
             + '", "key": {"entity_id": ' + _quote(key.entity_id)
             + ', "name": ' + _quote(key.name)
@@ -216,37 +176,41 @@ class SharedStorage:
     def _load(self, journal_path: str | Path) -> int:
         """Commit a journal's lines, before this store has a journal
         file to write them to; return the byte length of a torn final
-        line (0 when there is none). Any other line that is not a
-        record, or whose revision is not the one `_commit` gives it,
-        raises `JournalCorrupt` naming its line number."""
+        line (0 when there is none). Any other line that is not UTF-8
+        text of a record, or whose revision is not the int `_commit`
+        gives it, raises `JournalCorrupt` naming its line number."""
         records = self._records
         # the lines of one tick share a stamp, so each is parsed once
         stamps: dict[str, datetime] = {}
-        with open(journal_path, encoding="utf-8") as fh:
+        with open(journal_path, "rb") as fh:
             for number, line in enumerate(fh, 1):
-                if line[-1] != "\n":
-                    torn = len(line.encode("utf-8"))
-                    log.warning(_TORN, journal_path, torn)
-                    return torn
+                if not line.endswith(b"\n"):
+                    log.warning(_TORN, journal_path, len(line))
+                    return len(line)
                 if line.isspace():
                     continue
                 try:
-                    doc = json.loads(line)
+                    doc = json.loads(line.decode("utf-8"))
                     fields = doc["key"]
                     text = fields["observed_at"]
                     observed_at = stamps.get(text)
                     if observed_at is None:
                         observed_at = stamps[text] = parse_rfc3339(text)
+                    entity_id, name = fields["entity_id"], fields["name"]
+                    if not (type(entity_id) is type(name) is str):
+                        raise TypeError(f"key {entity_id!r}/{name!r}: not str")
                     key = RecordKey(Namespace(fields["namespace"]),
-                                    fields["entity_id"], fields["name"],
-                                    observed_at)
+                                    entity_id, name, observed_at)
                     current = records.get(key)
-                    if doc.get("op") == "delete":
+                    if "op" in doc:
+                        if doc["op"] != "delete":
+                            raise ValueError(f"unknown op {doc['op']!r}")
                         if current is not None:
                             self._remove(key)
                         continue
                     revision = self._commit(key, current, doc["body"])
-                    if doc["revision"] != revision:
+                    if (type(doc["revision"]) is not int
+                            or doc["revision"] != revision):
                         raise JournalCorrupt(
                             f"{journal_path}: line {number}: revision "
                             f"{doc['revision']!r}, expected {revision}")

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from .wire.common import ENCODER
+
 
 class Hop(NamedTuple):
     """One cross-element call that a run may record."""
@@ -74,12 +76,8 @@ def _describe_hop(source: str, target: str, message: str) -> str:
     return f"{source} -> {target}: {message}"
 
 
-# what `json.dumps(payload, sort_keys=True, default=str)` builds per call
-_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
-
-
 def payload_digest(payload: object) -> str:
-    canonical = _DIGEST_ENCODER.encode(payload)
+    canonical = ENCODER.encode(payload)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -120,7 +118,7 @@ class Tracer:
 
     def digest(self) -> str:
         """Digest of the whole trace; equal traces hash equal."""
-        lines = [json.dumps(e.to_json(), sort_keys=True) for e in self.events]
+        lines = [ENCODER.encode(e.to_json()) for e in self.events]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def write_jsonl(self, path: str | Path) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import reprlib
 from dataclasses import dataclass
@@ -31,6 +32,11 @@ def is_number(value: object) -> bool:
         return math.isfinite(value)
     except OverflowError:       # an int beyond a float's range
         return False
+
+
+# The one JSON text rule, for journal bodies and trace digests alike; no
+# `default`, so a value JSON cannot hold is a TypeError, never a guess.
+ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def check_scalar(value: object, context: str) -> Scalar:

@@ -224,6 +224,11 @@ REJECTED = [
         "format": "dtdl"}}), "monitoring"),
     ("internal-adapter", variant(**{"run.adapter": {"format": "internal"}}),
      "monitoring"),
+    # a mapped name becomes a record key's name
+    ("attribute-map-number", variant(**{"run.adapter.attribute_map":
+                                        {"f": 5}}), "monitoring"),
+    ("attribute-map-empty", variant(**{"run.adapter.attribute_map":
+                                       {"f": ""}}), "monitoring"),
     # numbers are what they say: no bools, strings or truncated floats
     ("max-ticks-float", variant(**{"run.max_ticks": 2.7}), "monitoring"),
     ("max-ticks-bool", variant(**{"run.max_ticks": True}), "monitoring"),

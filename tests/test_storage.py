@@ -266,9 +266,22 @@ def test_every_byte_prefix_replays_its_complete_lines(repo_root, tmp_path,
     ' "observed_at": "yesterday"}, "body": 1, "revision": 1}',
     '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
     ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 7}',
+    '{"key": {"namespace": "Measurements", "entity_id": 5, "name": "n",'
+    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 1}',
+    '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": null,'
+    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 1}',
+    '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
+    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 1,'
+    ' "op": "x"}',
+    '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
+    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": true}',
+    '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
+    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 1.0}',
+    "\udcff\udcfe{}",      # the bytes 0xff 0xfe, which are not UTF-8
 ], ids=["not-json", "not-object", "key-not-object", "no-key",
         "unknown-namespace", "unhashable-entity", "bad-stamp",
-        "revision-out-of-sequence"])
+        "revision-out-of-sequence", "entity-not-text", "name-not-text",
+        "unknown-op", "revision-bool", "revision-float", "not-utf8"])
 @pytest.mark.parametrize("last", [False, True], ids=["middle", "last"])
 def test_a_bad_complete_line_names_its_number(tmp_path, epoch, line, last):
     journal = tmp_path / "journal.jsonl"
@@ -276,7 +289,8 @@ def test_a_bad_complete_line_names_its_number(tmp_path, epoch, line, last):
     store.crud_create(key("a"), 1)
     store.close()
     tail = "" if last else journal.read_text()
-    journal.write_text(journal.read_text() + line + "\n" + tail)
+    journal.write_text(journal.read_text() + line + "\n" + tail,
+                       errors="surrogateescape")
     with pytest.raises(JournalCorrupt, match=f"{journal}: line 2: "):
         SharedStorage.replay(journal)
 

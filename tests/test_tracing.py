@@ -10,6 +10,7 @@ import pytest
 
 import twinarch
 from twinarch.catalog import load_catalog
+from twinarch.clock import DEFAULT_EPOCH
 from twinarch.tracing import (HOPS, ChoiceRule, Hop, SequenceTemplate,
                               StepGroup, TemplateStep, TraceEvent, Tracer,
                               check_trace, hop, monitoring_template,
@@ -32,6 +33,13 @@ def test_digest_is_stable_and_sixteen_hex_chars():
     b = payload_digest({"a": 2, "b": 1})
     assert a == b and len(a) == 16 and int(a, 16) >= 0
     assert payload_digest({"a": 3}) != a
+
+
+def test_digest_refuses_a_value_json_cannot_hold():
+    # no `default=str`: an instant is traced as its RFC 3339 text, never
+    # as whatever `str` makes of it
+    with pytest.raises(TypeError):
+        payload_digest({"at": DEFAULT_EPOCH})
 
 
 def test_tracer_validates_elements_against_the_catalog():
