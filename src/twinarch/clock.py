@@ -50,6 +50,21 @@ def format_rfc3339(dt: datetime) -> str:
     return base + "Z"
 
 
+class Stamp:
+    """`format_rfc3339` of the last instant given, formatted again only
+    when the instant changes. Wall times of one zone that differ only
+    in `fold` compare equal but are different instants."""
+
+    last: tuple = (None, "")     # (instant, text), replaced as one
+
+    def __call__(self, instant: datetime) -> str:
+        last, text = self.last
+        if instant != last or instant.fold != last.fold:
+            text = format_rfc3339(instant)
+            self.last = (instant, text)
+        return text
+
+
 class LogicalClock:
     """Simulated clock advanced by the orchestrator.
 
@@ -62,13 +77,15 @@ class LogicalClock:
         self.epoch = epoch
         self.tick_interval = tick_interval
         self.tick = 0
+        self._now = epoch
 
     def advance(self) -> int:
         self.tick += 1
+        self._now = self.at(self.tick)
         return self.tick
 
     def at(self, tick: int) -> datetime:
         return self.epoch + timedelta(seconds=tick * self.tick_interval)
 
     def now(self) -> datetime:
-        return self.at(self.tick)
+        return self._now      # computed once a tick, by `advance`

@@ -150,7 +150,7 @@ _SCENARIO = {"scenario_id": _text, "model_id": _text,
 
 
 def model_spec(doc: object, where: str) -> ModelSpec:
-    """A model document, with every key `ModelSpec.to_json` writes,
+    """A model document, with every key of `ModelSpec.encoded`,
     checked against its kind."""
     spec = ModelSpec(**_fields(doc, where, _MODEL,
                                required=("model_id", "kind")))
@@ -162,8 +162,8 @@ def model_spec(doc: object, where: str) -> ModelSpec:
 
 
 def sim_scenario(doc: object, where: str, spec: ModelSpec) -> SimScenario:
-    """A scenario document, with every key `SimScenario.to_json`
-    writes, checked against the model it runs on."""
+    """A scenario document, with every key of `SimScenario.encoded`,
+    checked against the model it runs on."""
     scenario = SimScenario(**_fields(doc, where, _SCENARIO,
                                      required=("scenario_id", "model_id")))
     if scenario.model_id != spec.model_id:
@@ -323,8 +323,14 @@ def _parse_run(doc: dict) -> RunConfig:
     }, required=("entity_id", "model", "shadow_types"))
     for key in _REMOVED_SWITCHES:
         fields.pop(key, None)
-    fields["sim"] = SimulationSettings(model_id=fields["model"].model_id,
-                                       **fields.get("sim", {}))
+    sim = fields["sim"] = SimulationSettings(
+        model_id=fields["model"].model_id, **fields.get("sim", {}))
+    # the run's scenarios, refused here by the engine's own rule
+    sim_scenario({"scenario_id": "sim", "model_id": sim.model_id,
+                  "input_series": {sim.input_name: []},
+                  "horizon": sim.horizon, "step_size": sim.step_size,
+                  "objective_metric": sim.objective_metric},
+                 f"{where}.sim", fields["model"])
     try:
         return RunConfig(**fields)
     except ValueError as exc:

@@ -103,7 +103,7 @@ class TwinManager:
     def new_scenario_sim(self, scenario: SimScenario) -> float | None:
         """Run one what-if scenario, from the Planner's newScenarioSim
         hop to its stored result, and return its objective."""
-        self.tracer.record(*hop.NEW_SCENARIO_SIM, scenario.to_json())
+        self.tracer.record(*hop.NEW_SCENARIO_SIM, scenario.encoded)
         scenario_id = self.engine.scenario_sim(scenario)
         self.tracer.record(*hop.MODEL_EXECUTION, {"scenario_id": scenario_id})
         (result,) = self.engine.drain()
@@ -173,9 +173,9 @@ class TwinManager:
             self._ingest_tick(tick)
 
             if tick == 1:   # the model was registered at construction
-                self.tracer.record(*hop.UPDATE_MODEL, run.model.to_json())
+                self.tracer.record(*hop.UPDATE_MODEL, run.model.encoded)
             scenario = self._current_conditions_scenario(tick)
-            self.tracer.record(*hop.EXECUTE_SIMULATION, scenario.to_json())
+            self.tracer.record(*hop.EXECUTE_SIMULATION, scenario.encoded)
             result = self.engine.model_execution(scenario)
             self.tracer.record(*hop.STORE_SIM_RESULT,
                                {"scenario_id": scenario.scenario_id,

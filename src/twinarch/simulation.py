@@ -33,14 +33,17 @@ from datetime import datetime
 from itertools import chain
 from typing import Callable
 
-from .clock import format_rfc3339
+from .clock import Stamp
 from .errors import InvalidSpec, NotFound, NumericalFailure
 from .storage import Namespace, RecordKey, SharedStorage
-from .wire.common import is_number
+from .wire.common import Encoded, encode, is_number
 
 State = dict[str, float]
 Kernel = Callable[[dict, int, State, dict[str, list[float]], int],
                   list[State]]
+# the what-ifs of a search share their base time and completion instant;
+# a memo changes how often an instant is formatted, never its text
+_STAMP = Stamp()
 
 
 @dataclass(frozen=True)
@@ -51,16 +54,17 @@ class ModelSpec:
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     version: int = 1
+    # the model document with its text, taken where the spec is built
+    encoded: Encoded = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-
-    def to_json(self) -> dict:
-        return {"model_id": self.model_id, "kind": self.kind,
-                "parameters": dict(self.parameters),
-                "inputs": list(self.inputs), "outputs": list(self.outputs),
-                "version": self.version}
+        object.__setattr__(self, "encoded", Encoded({
+            "model_id": self.model_id, "kind": self.kind,
+            "parameters": dict(self.parameters),
+            "inputs": list(self.inputs), "outputs": list(self.outputs),
+            "version": self.version}))
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,10 @@ class SimScenario:
     entity_id: str | None = None       # which twin the result belongs to
     objective_metric: str | None = None
     base_time: datetime | None = None
+    # the scenario document with its text, taken where it is built
+    encoded: Encoded = field(init=False, repr=False, compare=False)
 
-    def to_json(self) -> dict:
+    def __post_init__(self) -> None:
         doc: dict = {"scenario_id": self.scenario_id,
                      "model_id": self.model_id,
                      "initial_state": dict(self.initial_state),
@@ -90,8 +96,8 @@ class SimScenario:
         if self.objective_metric is not None:
             doc["objective_metric"] = self.objective_metric
         if self.base_time is not None:
-            doc["base_time"] = format_rfc3339(self.base_time)
-        return doc
+            doc["base_time"] = _STAMP(self.base_time)
+        object.__setattr__(self, "encoded", Encoded(doc))
 
 
 @dataclass(frozen=True)
@@ -318,18 +324,23 @@ class ModelEngine:
 
     def _store_result(self, spec: ModelSpec, scenario: SimScenario,
                       result: SimResult) -> None:
-        base_time = scenario.base_time or result.completed_at
+        completed_at = _STAMP(result.completed_at)
+        doc, series = scenario.encoded.value, list(result.state_series)
+        base_time = doc.get("base_time", completed_at)
         key = RecordKey(namespace=Namespace.SIM_RESULTS,
                         entity_id=scenario.entity_id or scenario.model_id,
                         name=scenario.scenario_id,
                         observed_at=result.completed_at)
-        self.storage.upsert(key, {
-            "scenario": scenario.to_json(),
-            "model": spec.to_json(),
-            "series": list(result.state_series),
-            "objective": result.objective,
-            "base_time": format_rfc3339(base_time),
-            "completed_at": format_rfc3339(result.completed_at)})
+        # sorted keys, as `encode` writes them; a stamp needs no escaping
+        text = ('{"base_time": "%s", "completed_at": "%s", "model": %s, '
+                '"objective": %s, "scenario": %s, "series": %s}' % (
+                    base_time, completed_at, spec.encoded.text,
+                    encode(result.objective), scenario.encoded.text,
+                    encode(series)))
+        self.storage.upsert(key, Encoded({
+            "scenario": doc, "model": spec.encoded.value, "series": series,
+            "objective": result.objective, "base_time": base_time,
+            "completed_at": completed_at}, text))
 
     def scenario_sim(self, scenario: SimScenario) -> str:
         """Queue a scenario; `drain` validates and runs it."""

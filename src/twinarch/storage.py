@@ -28,7 +28,9 @@ Journal line format, one JSON object per line:
 Deletions add `"op": "delete"` to the same shape; lines without `op`
 are writes. A line's bytes are exactly `json.dumps(line,
 sort_keys=True)`: the line's fixed parts around the body's text from
-`wire.common.ENCODER`, the one encoder the tracer digests with too.
+`wire.common.encode`, the one encoder the tracer digests with too. A
+body written `Encoded` is kept as its value and journaled as its text,
+which may be spliced from texts encoded once, under the same rule.
 
 A store opened on an existing journal replays it before it appends,
 so revisions continue from the journal's. A final line without its
@@ -49,9 +51,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .clock import format_rfc3339, parse_rfc3339
+from .clock import Stamp, format_rfc3339, parse_rfc3339
 from .errors import DuplicateKey, InvalidQuery, JournalCorrupt, NotFound
-from .wire.common import ENCODER
+from .wire.common import Encoded, encode
 
 log = logging.getLogger("twinarch.storage")
 
@@ -111,25 +113,7 @@ class Query:
 
 _quote = json.encoder.encode_basestring_ascii
 _NAMESPACE_TEXT = {ns: _quote(ns.value) for ns in Namespace}
-
-
-class _Stamp:
-    """The RFC 3339 text of the last instant given, formatted again
-    only when the instant changes. Wall times of one zone that differ
-    only in `fold` compare equal but are different instants."""
-
-    __slots__ = ("instant", "text")
-
-    def __init__(self) -> None:
-        self.instant: datetime | None = None
-        self.text = ""
-
-    def __call__(self, instant: datetime) -> str:
-        last = self.instant
-        if instant != last or instant.fold != last.fold:
-            self.text = format_rfc3339(instant)
-            self.instant = instant
-        return self.text
+_NAMESPACES = {ns.value: ns for ns in Namespace}
 
 
 class SharedStorage:
@@ -151,19 +135,20 @@ class SharedStorage:
             if torn:
                 self._journal_file.truncate(self._journal_file.tell() - torn)
         # the lines of one tick, or of one payload, share their stamps
-        self._committed_at = _Stamp()
-        self._observed_at = _Stamp()
+        self._committed_at = Stamp()
+        self._observed_at = Stamp()
 
     # -- journal ------------------------------------------------------------
 
-    def _journal(self, record: Record, op: str | None = None) -> None:
+    def _journal(self, record: Record, body: object,
+                 op: str | None = None) -> None:
         if self._journal_file is None:
             return
         # the fields in sorted order, as json.dumps(line, sort_keys=True)
         # writes them; a stamp is RFC 3339 text and needs no escaping
         key = record.key
         self._journal_file.write(
-            '{"body": ' + ENCODER.encode(record.body)
+            '{"body": ' + encode(body)
             + ', "committed_at": "' + self._committed_at(self._clock())
             + '", "key": {"entity_id": ' + _quote(key.entity_id)
             + ', "name": ' + _quote(key.name)
@@ -177,10 +162,11 @@ class SharedStorage:
         """Commit a journal's lines, before this store has a journal
         file to write them to; return the byte length of a torn final
         line (0 when there is none). Any other line that is not UTF-8
-        text of a record, or whose revision is not the int `_commit`
-        gives it, raises `JournalCorrupt` naming its line number."""
+        text of a record, whose `committed_at` is not an RFC 3339 string,
+        or whose revision is not the int `_commit` gives it, raises
+        `JournalCorrupt` naming its line number."""
         records = self._records
-        # the lines of one tick share a stamp, so each is parsed once
+        # the lines of one tick share their stamps, so each is parsed once
         stamps: dict[str, datetime] = {}
         with open(journal_path, "rb") as fh:
             for number, line in enumerate(fh, 1):
@@ -196,10 +182,13 @@ class SharedStorage:
                     observed_at = stamps.get(text)
                     if observed_at is None:
                         observed_at = stamps[text] = parse_rfc3339(text)
+                    text = doc["committed_at"]      # checked, not kept
+                    if text not in stamps:
+                        stamps[text] = parse_rfc3339(text)
                     entity_id, name = fields["entity_id"], fields["name"]
                     if not (type(entity_id) is type(name) is str):
                         raise TypeError(f"key {entity_id!r}/{name!r}: not str")
-                    key = RecordKey(Namespace(fields["namespace"]),
+                    key = RecordKey(_NAMESPACES[fields["namespace"]],
                                     entity_id, name, observed_at)
                     current = records.get(key)
                     if "op" in doc:
@@ -274,11 +263,12 @@ class SharedStorage:
     def _commit(self, key: RecordKey, current: Record | None,
                 body: object) -> int:
         """Store `body` under `key` at revision 1, or at `current`'s
-        revision + 1, and journal it: one key lookup per write."""
-        record = Record(key=key, body=body, revision=(
-            1 if current is None else current.revision + 1))
+        revision + 1, and journal it (an `Encoded` body as its text):
+        one key lookup per write."""
+        record = Record(key, body.value if type(body) is Encoded else body,
+                        1 if current is None else current.revision + 1)
         self._store(record, new=current is None)
-        self._journal(record)
+        self._journal(record, body)
         return record.revision
 
     def crud_create(self, key: RecordKey, body: object) -> int:
@@ -315,7 +305,8 @@ class SharedStorage:
     def crud_delete(self, key: RecordKey) -> None:
         if key not in self._records:
             raise NotFound(f"no record under key: {key}")
-        self._journal(self._remove(key), op="delete")
+        record = self._remove(key)
+        self._journal(record, record.body, op="delete")
 
     def upsert(self, key: RecordKey, body: object) -> int:
         """Create-or-update; the write every runtime writer uses."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .wire.common import ENCODER
+from .wire.common import encode
 
 
 class Hop(NamedTuple):
@@ -77,8 +77,8 @@ def _describe_hop(source: str, target: str, message: str) -> str:
 
 
 def payload_digest(payload: object) -> str:
-    canonical = ENCODER.encode(payload)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    """The digest of `payload`'s text, an `Encoded` payload's as held."""
+    return hashlib.sha256(encode(payload).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class Tracer:
 
     def digest(self) -> str:
         """Digest of the whole trace; equal traces hash equal."""
-        lines = [ENCODER.encode(e.to_json()) for e in self.events]
+        lines = [encode(e.to_json()) for e in self.events]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def write_jsonl(self, path: str | Path) -> None:

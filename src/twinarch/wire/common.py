@@ -34,9 +34,28 @@ def is_number(value: object) -> bool:
         return False
 
 
-# The one JSON text rule, for journal bodies and trace digests alike; no
-# `default`, so a value JSON cannot hold is a TypeError, never a guess.
-ENCODER = json.JSONEncoder(sort_keys=True)
+# The one JSON text rule, for journal bodies and trace digests alike:
+# json.dumps(value, sort_keys=True), built once, with no circular check.
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ": ", ", ", True, False, True)
+
+
+class Encoded:
+    """A JSON value with its text, taken once, for the trace and the
+    journal to share: `encode` gives the text as held."""
+
+    __slots__ = ("value", "text")
+
+    def __init__(self, value: object, text: str | None = None) -> None:
+        self.value, self.text = value, encode(value) if text is None else text
+
+
+def encode(value: object) -> str:
+    """The canonical text of `value`: a value JSON cannot hold is a TypeError."""
+    if type(value) is Encoded:
+        return value.text
+    return "".join(_ENCODE(value, 0))
 
 
 def check_scalar(value: object, context: str) -> Scalar:

@@ -266,6 +266,18 @@ REJECTED = [
      "monitoring"),
     ("model-unknown-parameter", variant(**{"run.model.parameters.lanes": 2}),
      "monitoring"),
+    # the simulation settings, by the rule the engine runs scenarios with
+    ("sim-horizon-zero", variant(**{"run.sim.horizon": 0}), "monitoring"),
+    ("sim-horizon-negative", variant(**{"run.sim.horizon": -3}),
+     "monitoring"),
+    ("sim-step-size-zero", variant(**{"run.sim.step_size": 0}),
+     "monitoring"),
+    ("sim-step-size-negative", variant(**{"run.sim.step_size": -1.5}),
+     "monitoring"),
+    ("sim-objective-not-an-output",
+     variant(**{"run.sim.objective_metric": "inflow"}), "monitoring"),
+    ("sim-input-not-a-model-input",
+     variant(**{"run.sim.input_name": "density"}), "monitoring"),
     # a misspelt key at each manifest level
     ("unknown-manifest-key", variant(output_dri="x"), "monitoring"),
     ("unknown-harness-key", variant(**{"harness.lateny": 2}), "monitoring"),

@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import tempfile
 import types
 import weakref
 from dataclasses import replace
+from datetime import timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -306,11 +309,11 @@ def test_non_finite_second_variable_at_last_step_is_found(late_failure_kind):
 
 def test_spec_and_scenario_round_trip_json():
     spec = traffic_spec()
-    assert model_spec(json.loads(json.dumps(spec.to_json())), "m") == spec
+    assert model_spec(json.loads(spec.encoded.text), "m") == spec
     sc = scenario(entity_id="TLF01", objective_metric="density",
                   base_time=ts(7), overrides={"green_extension": 20.0},
                   seed=42)
-    assert sim_scenario(json.loads(json.dumps(sc.to_json())), "s",
+    assert sim_scenario(json.loads(sc.encoded.text), "s",
                         spec) == sc
     minimal = sim_scenario({"scenario_id": "a", "model_id": "m1"}, "s", spec)
     assert minimal.horizon == 1 and minimal.base_time is None
@@ -396,6 +399,57 @@ def test_drain_returns_results_in_submission_order(tmp_path):
         if line["key"]["namespace"] == "SimResults"]
     assert committed == submitted
     assert eng.drain() == []
+
+
+_names = st.text(max_size=6)     # non-ASCII and escapes included
+_reals = st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6)
+
+
+@st.composite
+def _scenarios(draw):
+    zone = timezone(timedelta(minutes=draw(st.integers(-720, 720))))
+    return SimScenario(
+        scenario_id=draw(_names), model_id="m1",
+        initial_state=draw(st.dictionaries(_names, _reals, max_size=2)),
+        input_series=draw(st.dictionaries(
+            st.just("inflow"), st.lists(_reals, max_size=4))),
+        horizon=draw(st.integers(1, 4)),
+        step_size=draw(st.floats(0.1, 60.0)),
+        overrides=draw(st.fixed_dictionaries({}, optional={
+            "green_extension": st.floats(-100.0, 100.0),
+            "noise_sigma": st.floats(0.0, 0.5)})),
+        seed=draw(st.integers(0, 2**32)),
+        entity_id=draw(st.none() | _names),
+        objective_metric=draw(st.none() | st.just("density")),
+        base_time=draw(st.none() | st.datetimes(timezones=st.just(zone))))
+
+
+@given(st.lists(_scenarios(), min_size=1, max_size=3),
+       st.datetimes(timezones=st.just(timezone.utc)))
+def test_a_spliced_result_line_is_the_generic_encoding(scenarios, now):
+    """A SimResults line, spliced from the model's and the scenario's
+    texts, is `json.dumps(line, sort_keys=True)`, and its body reads
+    back as the live one."""
+    manager = ModelManager()
+    manager.upsert_model(traffic_spec())
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "journal.jsonl"
+        storage = SharedStorage(journal_path=journal, clock=lambda: now)
+        eng = ModelEngine(manager, storage, clock=lambda: now)
+        for sc in scenarios:
+            eng.model_execution(sc)
+        storage.close()
+        lines = journal.read_text(encoding="utf-8").splitlines(True)
+    assert len(lines) == len(scenarios)
+    journaled = {}
+    for text in lines:
+        line = json.loads(text)
+        assert text == json.dumps(line, sort_keys=True) + "\n"
+        journaled[line["key"]["entity_id"], line["key"]["name"]] = \
+            line["body"]
+    # a scenario id drawn twice rewrites its record
+    assert journaled == {(r.key.entity_id, r.key.name): r.body
+                         for r in storage.all_records()}
 
 
 def test_drain_propagates_a_numerical_failure(engine, diverging_kind):

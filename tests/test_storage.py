@@ -252,36 +252,47 @@ def test_every_byte_prefix_replays_its_complete_lines(repo_root, tmp_path,
         f"{prefix}: dropped a torn final line of 1 bytes"
 
 
+# a valid line but for the field each case breaks: the rest of it is
+# a record, so the refusal is for that field
+_KEY = ('{"namespace": "Measurements", "entity_id": "e1", "name": "n",'
+        ' "observed_at": "2024-12-10T12:00:00Z"}')
+_AT = ' "committed_at": "2024-12-10T12:00:00Z",'
+
+
 @pytest.mark.parametrize("line", [
     "{oops",
     "[1]",
-    '{"key": 5, "body": 1, "revision": 1}',
-    '{"body": 1, "revision": 1}',
+    '{"key": 5, "body": 1, "revision": 1,' + _AT[:-1] + "}",
+    '{"body": 1,' + _AT + ' "revision": 1}',
     '{"key": {"namespace": "Nope", "entity_id": "e1", "name": "n",'
-    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 1}',
-    '{"key": {"namespace": "Measurements", "entity_id": ["e1"],'
-    ' "name": "n", "observed_at": "2024-12-10T12:00:00Z"}, "body": 1,'
+    ' "observed_at": "2024-12-10T12:00:00Z"},' + _AT + ' "body": 1,'
     ' "revision": 1}',
+    '{"key": {"namespace": "Measurements", "entity_id": ["e1"],'
+    ' "name": "n", "observed_at": "2024-12-10T12:00:00Z"},' + _AT
+    + ' "body": 1, "revision": 1}',
     '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
-    ' "observed_at": "yesterday"}, "body": 1, "revision": 1}',
-    '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
-    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 7}',
+    ' "observed_at": "yesterday"},' + _AT + ' "body": 1, "revision": 1}',
+    '{"key": ' + _KEY + ',' + _AT + ' "body": 1, "revision": 7}',
     '{"key": {"namespace": "Measurements", "entity_id": 5, "name": "n",'
-    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 1}',
+    ' "observed_at": "2024-12-10T12:00:00Z"},' + _AT + ' "body": 1,'
+    ' "revision": 1}',
     '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": null,'
-    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 1}',
-    '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
-    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 1,'
-    ' "op": "x"}',
-    '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
-    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": true}',
-    '{"key": {"namespace": "Measurements", "entity_id": "e1", "name": "n",'
-    ' "observed_at": "2024-12-10T12:00:00Z"}, "body": 1, "revision": 1.0}',
+    ' "observed_at": "2024-12-10T12:00:00Z"},' + _AT + ' "body": 1,'
+    ' "revision": 1}',
+    '{"key": ' + _KEY + ',' + _AT + ' "body": 1, "revision": 1, "op": "x"}',
+    '{"key": ' + _KEY + ',' + _AT + ' "body": 1, "revision": true}',
+    '{"key": ' + _KEY + ',' + _AT + ' "body": 1, "revision": 1.0}',
     "\udcff\udcfe{}",      # the bytes 0xff 0xfe, which are not UTF-8
+    '{"key": ' + _KEY + ', "body": 1, "revision": 1}',
+    '{"key": ' + _KEY + ', "committed_at": 5, "body": 1, "revision": 1}',
+    '{"key": ' + _KEY + ', "committed_at": "2024-12-10 noon", "body": 1,'
+    ' "revision": 1}',
 ], ids=["not-json", "not-object", "key-not-object", "no-key",
         "unknown-namespace", "unhashable-entity", "bad-stamp",
         "revision-out-of-sequence", "entity-not-text", "name-not-text",
-        "unknown-op", "revision-bool", "revision-float", "not-utf8"])
+        "unknown-op", "revision-bool", "revision-float", "not-utf8",
+        "committed-at-missing", "committed-at-number",
+        "committed-at-not-a-time"])
 @pytest.mark.parametrize("last", [False, True], ids=["middle", "last"])
 def test_a_bad_complete_line_names_its_number(tmp_path, epoch, line, last):
     journal = tmp_path / "journal.jsonl"
@@ -293,6 +304,14 @@ def test_a_bad_complete_line_names_its_number(tmp_path, epoch, line, last):
                        errors="surrogateescape")
     with pytest.raises(JournalCorrupt, match=f"{journal}: line 2: "):
         SharedStorage.replay(journal)
+
+
+def test_the_bad_lines_are_bad_in_one_field_only(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text('{"key": ' + _KEY + ',' + _AT + ' "body": 1,'
+                       ' "revision": 1}\n')
+    assert [r.body for r in SharedStorage.replay(journal).all_records()] \
+        == [1]
 
 
 # --- journal line encoding -------------------------------------------------

@@ -5,21 +5,25 @@ tick, the records returned by `SharedStorage.crud_read` and
 `SharedStorage.latest` plus the trace points built by
 `ShadowManager.get_shadow` do not grow with the history held in the
 store, and the journal formats each tick's shared stamps once. A
-scenario, monitoring or what-if, is validated once.
+scenario, monitoring or what-if, is validated once, and its document
+and the model's are encoded once; the what-ifs of a search format no
+instant of their own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from collections import Counter
 
 import pytest
 
-from twinarch import simulation, storage
+from twinarch import clock, simulation
 from twinarch.configs import load_manifest
 from twinarch.orchestrator import TwinManager, run_loop
 from twinarch.shadows import ShadowManager
 from twinarch.storage import Namespace, SharedStorage
+from twinarch.wire import common
 
 TICKS = 400
 
@@ -65,18 +69,45 @@ def test_work_per_monitoring_tick_stays_flat(repo_root, monkeypatch):
     assert work[400] == work[50], (work[50], work[400])
 
 
+def _count_calls(monkeypatch, module, name: str, keep=lambda *args: True):
+    """The arguments of each call of `module.name` that `keep` takes,
+    through every twinarch module that holds the function, so that no
+    call escapes by an imported name."""
+    function = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        if keep(*args):
+            calls.append(args)
+        return function(*args)
+
+    held = [m for m in list(sys.modules.values())
+            if m is not None and m.__name__.split(".")[0] == "twinarch"
+            and getattr(m, name, None) is function]
+    assert module in held
+    for holder in held:
+        monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
 def test_journal_formats_each_tick_stamp_once(repo_root, tmp_path,
                                               monkeypatch):
     # both stamps of a line change once a tick, and once more for the
-    # shadow descriptors written before the first tick
-    calls = []
-    format_rfc3339 = storage.format_rfc3339
+    # shadow descriptors written before the first tick; the count is of
+    # the formatting done while a line is written
+    journaling = []
+    journal = SharedStorage._journal
 
-    def counted_format(dt):
-        calls.append(dt)
-        return format_rfc3339(dt)
+    def counted_journal(self, *args, **kwargs):
+        journaling.append(True)
+        try:
+            return journal(self, *args, **kwargs)
+        finally:
+            journaling.pop()
 
-    monkeypatch.setattr(storage, "format_rfc3339", counted_format)
+    monkeypatch.setattr(SharedStorage, "_journal", counted_journal)
+    calls = _count_calls(monkeypatch, clock, "format_rfc3339",
+                         lambda dt: bool(journaling))
     manifest = load_manifest(
         repo_root / "configs" / "demo" / "monitoring" / "manifest.json")
     manager = TwinManager(manifest, journal_path=tmp_path / "journal.jsonl")
@@ -86,8 +117,67 @@ def test_journal_formats_each_tick_stamp_once(repo_root, tmp_path,
         manager.shutdown()
     lines = (tmp_path / "journal.jsonl").read_text().splitlines()
     assert len(lines) > 5 * output.ticks_run
-    assert len(calls) <= 2 * output.ticks_run + 2, (
+    assert output.ticks_run <= len(calls) <= 2 * output.ticks_run + 2, (
         len(calls), output.ticks_run)
+
+
+def _prediction_demo(repo_root, candidates: int):
+    manifest = load_manifest(
+        repo_root / "configs" / "demo" / "prediction" / "manifest.json",
+        "prediction")
+    demo = manifest.candidates
+    return dataclasses.replace(manifest, candidates=tuple(
+        dataclasses.replace(demo[i % len(demo)], candidate_id=f"c{i}")
+        for i in range(candidates)))
+
+
+def test_a_search_formats_each_instant_once(repo_root, tmp_path,
+                                            monkeypatch):
+    # every what-if of a search starts at one base time and completes at
+    # one instant, so the candidates add no formatting; an uncounted run
+    # first leaves the memos as each counted run leaves them
+    counts = []
+    for candidates in (1, 3, 12):
+        manifest = _prediction_demo(repo_root, candidates)
+        calls = _count_calls(monkeypatch, clock, "format_rfc3339")
+        _, manager = run_loop(manifest, "prediction",
+                              journal_path=tmp_path / f"{candidates}.jsonl")
+        manager.shutdown()
+        assert manager.storage.count(Namespace.SIM_RESULTS) == candidates
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts[1] == counts[2] > 0, counts
+
+
+def test_the_model_document_is_encoded_once_per_run(repo_root, tmp_path,
+                                                    monkeypatch):
+    path = repo_root / "configs" / "demo" / "monitoring" / "manifest.json"
+    document = load_manifest(path).run.model.encoded.value
+    calls = _count_calls(monkeypatch, common, "encode",
+                         lambda value: value == document)
+    _, manager = run_loop(load_manifest(path), "monitoring",
+                          journal_path=tmp_path / "journal.jsonl")
+    manager.shutdown()
+    assert manager.storage.count(Namespace.SIM_RESULTS) == 10
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("loop,scenarios", [("monitoring", 10),
+                                            ("prediction", 3)])
+def test_each_scenario_document_is_encoded_once(repo_root, tmp_path,
+                                                monkeypatch, loop,
+                                                scenarios):
+    manifest = load_manifest(
+        repo_root / "configs" / "demo" / loop / "manifest.json", loop)
+    calls = _count_calls(
+        monkeypatch, common, "encode",
+        lambda value: isinstance(value, dict) and "seed" in value)
+    _, manager = run_loop(manifest, loop,
+                          journal_path=tmp_path / "journal.jsonl")
+    manager.shutdown()
+    encoded = Counter(doc["scenario_id"] for doc, in calls)
+    assert len(encoded) == scenarios
+    assert set(encoded.values()) == {1}, encoded
 
 
 @pytest.mark.parametrize("loop,scenarios", [("monitoring", 10),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -16,7 +17,7 @@ from twinarch.wire import (Measurement, Source,
                            derive_dtdl_model, parse_ditto_thing,
                            parse_dtdl_telemetry, parse_ngsi_ld,
                            parse_ultralight, serialize)
-from twinarch.wire.common import check_scalar
+from twinarch.wire.common import Encoded, check_scalar, encode
 
 from conftest import ts
 
@@ -339,3 +340,27 @@ def test_measurement_to_json_shape(epoch):
                    "source": "ngsi-ld", "unit": "km/h",
                    "location": [40.0, -74.0]}
     assert json.dumps(doc)  # JSON-safe as is
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+@given(_json_values)
+def test_encode_is_sorted_json_dumps(value):
+    """The one encoder writes `json.dumps(value, sort_keys=True)`,
+    non-finite numbers and non-ASCII text included; an `Encoded` value
+    is its text."""
+    assert encode(value) == json.dumps(value, sort_keys=True)
+    assert encode(Encoded(value)) == encode(value)
+
+
+def test_encode_refuses_what_json_cannot_hold():
+    with pytest.raises(TypeError):
+        encode({"at": datetime(2024, 1, 1, tzinfo=timezone.utc)})
+    with pytest.raises(TypeError):
+        encode({"set": {1}})
