@@ -29,7 +29,7 @@ from .orchestrator import run_loop
 from .services import (FORECAST_METHODS, PredictorConfig, Predictor,
                        DeviationDetector)
 from .shadows import ShadowManager
-from .simulation import execute
+from .simulation import MAX_HORIZON, execute
 from .storage import Namespace, Query, SharedStorage
 from .wire import Source
 from .adapters import AdapterConfig, Direction, P2DAdapter, parse_payload
@@ -60,14 +60,16 @@ def _read_input(path: str | None) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and sizes: a whole number of at least 1."""
+def _positive_int(text: str, most: int = sys.maxsize) -> int:
+    """argparse type for counts and sizes: a whole number, 1 to `most`."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > most:
+        raise argparse.ArgumentTypeError(f"must be at most {most}")
     return value
 
 
@@ -440,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     f = service_sub.add_parser("predict")
     f.add_argument("--journal", required=True)
     f.add_argument("--entity", required=True)
-    f.add_argument("--horizon", type=_positive_int, required=True)
+    f.add_argument("--horizon", required=True,
+                   type=lambda text: _positive_int(text, MAX_HORIZON))
     f.add_argument("--method", default=PredictorConfig.method,
                    choices=list(FORECAST_METHODS))
     f.add_argument("--window", type=_positive_int,

@@ -2,18 +2,24 @@
 
 Runs never read the wall clock; the orchestrator advances a logical
 clock tick by tick so that traces, journals, and digests are
-reproducible byte for byte.
+reproducible byte for byte. The RFC 3339 helpers own an instant's
+text and remember it while the instant is in use: call them freely.
 """
 
 from __future__ import annotations
 
 import re
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 
 # Demo epoch; any fixed tz-aware instant would do.
 DEFAULT_EPOCH = datetime(2024, 12, 10, 12, 0, 0, tzinfo=timezone.utc)
 
 _FRACTION = re.compile(r"\.(\d+)")
+
+# far more than the instants in use at once (a tick's now and base time,
+# a payload's stamps, a journal's neighbouring lines), and not a history
+_CACHED = 1024
 
 
 def parse_rfc3339(text: str) -> datetime:
@@ -25,6 +31,11 @@ def parse_rfc3339(text: str) -> datetime:
     """
     if not isinstance(text, str):
         raise ValueError(f"timestamp must be a string, got {type(text).__name__}")
+    return _parse(text)
+
+
+@lru_cache(maxsize=_CACHED)
+def _parse(text: str) -> datetime:
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
@@ -43,26 +54,17 @@ def format_rfc3339(dt: datetime) -> str:
     """
     if dt.tzinfo is None:
         raise ValueError("refusing to format a naive datetime")
-    dt = dt.astimezone(timezone.utc)
+    # keyed by the UTC instant: wall times of one zone that differ only
+    # in `fold` compare and hash equal, yet are different instants
+    return _format_utc(dt.astimezone(timezone.utc))
+
+
+@lru_cache(maxsize=_CACHED)
+def _format_utc(dt: datetime) -> str:
     base = dt.strftime("%Y-%m-%dT%H:%M:%S")
     if dt.microsecond:
         base += f".{dt.microsecond:06d}".rstrip("0")
     return base + "Z"
-
-
-class Stamp:
-    """`format_rfc3339` of the last instant given, formatted again only
-    when the instant changes. Wall times of one zone that differ only
-    in `fold` compare equal but are different instants."""
-
-    last: tuple = (None, "")     # (instant, text), replaced as one
-
-    def __call__(self, instant: datetime) -> str:
-        last, text = self.last
-        if instant != last or instant.fold != last.fold:
-            text = format_rfc3339(instant)
-            self.last = (instant, text)
-        return text
 
 
 class LogicalClock:

@@ -32,8 +32,8 @@ from .services import (FORECAST_METHODS, Band, CandidateSolution, Action,
                        FeedbackConfig, PredictorConfig, SimulationSettings,
                        check_action)
 from .shadows import ShadowType
-from .simulation import (ModelSpec, SimScenario, validate_scenario,
-                         validate_spec)
+from .simulation import (MAX_HORIZON, ModelSpec, SimScenario,
+                         validate_scenario, validate_spec)
 from .tracing import SequenceTemplate
 from .wire.common import Source, is_number
 from .wire.dtdl import parse_model
@@ -81,6 +81,12 @@ _text = _json_type(str, "a string")
 _object = _json_type(dict, "an object")
 _list = _json_type(list, "a list")
 _int = _json_type(int, "an integer")
+
+
+def _count(value: object) -> int:
+    if _int(value) < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
 
 
 def _number(value: object) -> int | float:
@@ -196,10 +202,8 @@ class RunConfig:
             raise ValueError("at least one shadow type is required")
         if self.tick_interval <= 0:
             raise ValueError("tick_interval must be > 0")
-        if self.max_ticks < 1:
-            raise ValueError("max_ticks must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ValueError(f"horizon must be 1..{MAX_HORIZON}")
 
 
 @dataclass(frozen=True)
@@ -273,8 +277,9 @@ _REMOVED_SWITCHES = ("low_latency_ingest", "feedback_on_change_only")
 _SIM = {"objective_metric": _text, "input_metric": _text,
         "input_name": _text, "horizon": _int, "step_size": _float,
         "seed": _int}
-_PREDICTOR = {"method": _forecast_method, "window": _int, "min_window": _int,
-              "moving_average_k": _int, "attributes": _texts}
+_PREDICTOR = {"method": _forecast_method, "window": _count,
+              "min_window": _count, "moving_average_k": _count,
+              "attributes": _texts}
 _SHADOW_TYPE = {"name": _text, "attributes": _texts, "entity_type": _text}
 _ADAPTER = {"format": Source, "device_filter": _object,
             "attribute_map": _mapping(_name), "entity_type": _text,
@@ -315,7 +320,7 @@ def _parse_run(doc: dict) -> RunConfig:
         "adapter": _inbound_adapter,
         "feedback": lambda value: FeedbackConfig(
             **_fields(value, f"{where}.feedback", _FEEDBACK)),
-        "tick_interval": _float, "max_ticks": _int, "horizon": _int,
+        "tick_interval": _float, "max_ticks": _count, "horizon": _int,
         "device_registry": _object,
         "check_template": lambda value: SequenceTemplate.from_json(
             _object(value)),

@@ -265,13 +265,13 @@ def _forecast_last_value(values: list[float], horizon: int, window: int,
 
 def _forecast_moving_average(values: list[float], horizon: int, window: int,
                              k: int) -> list[float]:
-    tail = values[-k:] if k > 0 else values
+    tail = values[-k:]
     mean = sum(tail) / len(tail)
     return [mean] * horizon
 
 def _forecast_linear(values: list[float], horizon: int, window: int,
                      k: int) -> list[float]:
-    tail = values[-window:] if window > 0 else values
+    tail = values[-window:]
     intercept, slope = fit_line(tail)
     n = len(tail)
     return [intercept + slope * (n - 1 + j) for j in range(1, horizon + 1)]

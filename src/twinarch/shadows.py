@@ -227,6 +227,7 @@ class ShadowManager:
         records = self.storage.crud_read(Query(
             namespace=Namespace.SHADOWS, entity_id=entry.entity_id,
             time_from=time_from, time_to=time_to))
+        # (observed_at, attribute) order: `crud_read`'s, under one prefix
         points = []
         for record in records:
             record_name = record.key.name
@@ -236,7 +237,6 @@ class ShadowManager:
             if attribute == "__descriptor__":
                 continue
             points.append(_trace_point(record, attribute))
-        points.sort(key=lambda p: (p.observed_at, p.attribute))
         return Shadow(shadow_id=entry.shadow_id, type=entry.type,
                       entity_id=entry.entity_id, trace=points,
                       created_at=entry.created_at)

@@ -33,17 +33,17 @@ from datetime import datetime
 from itertools import chain
 from typing import Callable
 
-from .clock import Stamp
+from .clock import format_rfc3339
 from .errors import InvalidSpec, NotFound, NumericalFailure
 from .storage import Namespace, RecordKey, SharedStorage
 from .wire.common import Encoded, encode, is_number
 
+# the most steps a scenario or a forecast may run; its series fit in memory
+MAX_HORIZON = 10_000
+
 State = dict[str, float]
 Kernel = Callable[[dict, int, State, dict[str, list[float]], int],
                   list[State]]
-# the what-ifs of a search share their base time and completion instant;
-# a memo changes how often an instant is formatted, never its text
-_STAMP = Stamp()
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class SimScenario:
         if self.objective_metric is not None:
             doc["objective_metric"] = self.objective_metric
         if self.base_time is not None:
-            doc["base_time"] = _STAMP(self.base_time)
+            doc["base_time"] = format_rfc3339(self.base_time)
         object.__setattr__(self, "encoded", Encoded(doc))
 
 
@@ -202,8 +202,9 @@ def validate_spec(spec: ModelSpec) -> ModelKind:
 
 
 def validate_scenario(scenario: SimScenario, spec: ModelSpec) -> None:
-    if not isinstance(scenario.horizon, int) or scenario.horizon < 1:
-        raise InvalidSpec(f"horizon must be >= 1, got {scenario.horizon!r}")
+    horizon = scenario.horizon
+    if not isinstance(horizon, int) or not 1 <= horizon <= MAX_HORIZON:
+        raise InvalidSpec(f"horizon must be 1..{MAX_HORIZON}, got {horizon!r}")
     if scenario.step_size <= 0:
         raise InvalidSpec(f"step_size must be > 0, got {scenario.step_size!r}")
     stray = set(scenario.overrides) - set(spec.parameters) - (
@@ -324,7 +325,7 @@ class ModelEngine:
 
     def _store_result(self, spec: ModelSpec, scenario: SimScenario,
                       result: SimResult) -> None:
-        completed_at = _STAMP(result.completed_at)
+        completed_at = format_rfc3339(result.completed_at)
         doc, series = scenario.encoded.value, list(result.state_series)
         base_time = doc.get("base_time", completed_at)
         key = RecordKey(namespace=Namespace.SIM_RESULTS,

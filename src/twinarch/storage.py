@@ -31,6 +31,7 @@ sort_keys=True)`: the line's fixed parts around the body's text from
 `wire.common.encode`, the one encoder the tracer digests with too. A
 body written `Encoded` is kept as its value and journaled as its text,
 which may be spliced from texts encoded once, under the same rule.
+Its stamps are `clock` text, which the lines of one tick share.
 
 A store opened on an existing journal replays it before it appends,
 so revisions continue from the journal's. A final line without its
@@ -51,7 +52,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .clock import Stamp, format_rfc3339, parse_rfc3339
+from .clock import format_rfc3339, parse_rfc3339
 from .errors import DuplicateKey, InvalidQuery, JournalCorrupt, NotFound
 from .wire.common import Encoded, encode
 
@@ -134,9 +135,6 @@ class SharedStorage:
             self._journal_file = path.open("a", encoding="utf-8")
             if torn:
                 self._journal_file.truncate(self._journal_file.tell() - torn)
-        # the lines of one tick, or of one payload, share their stamps
-        self._committed_at = Stamp()
-        self._observed_at = Stamp()
 
     # -- journal ------------------------------------------------------------
 
@@ -149,11 +147,11 @@ class SharedStorage:
         key = record.key
         self._journal_file.write(
             '{"body": ' + encode(body)
-            + ', "committed_at": "' + self._committed_at(self._clock())
+            + ', "committed_at": "' + format_rfc3339(self._clock())
             + '", "key": {"entity_id": ' + _quote(key.entity_id)
             + ', "name": ' + _quote(key.name)
             + ', "namespace": ' + _NAMESPACE_TEXT[key.namespace]
-            + ', "observed_at": "' + self._observed_at(key.observed_at)
+            + ', "observed_at": "' + format_rfc3339(key.observed_at)
             + '"}' + ("" if op is None else ', "op": ' + _quote(op))
             + ', "revision": ' + str(record.revision) + "}\n")
         self._journal_file.flush()
@@ -166,8 +164,6 @@ class SharedStorage:
         or whose revision is not the int `_commit` gives it, raises
         `JournalCorrupt` naming its line number."""
         records = self._records
-        # the lines of one tick share their stamps, so each is parsed once
-        stamps: dict[str, datetime] = {}
         with open(journal_path, "rb") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.endswith(b"\n"):
@@ -178,13 +174,8 @@ class SharedStorage:
                 try:
                     doc = json.loads(line.decode("utf-8"))
                     fields = doc["key"]
-                    text = fields["observed_at"]
-                    observed_at = stamps.get(text)
-                    if observed_at is None:
-                        observed_at = stamps[text] = parse_rfc3339(text)
-                    text = doc["committed_at"]      # checked, not kept
-                    if text not in stamps:
-                        stamps[text] = parse_rfc3339(text)
+                    observed_at = parse_rfc3339(fields["observed_at"])
+                    parse_rfc3339(doc["committed_at"])  # checked, not kept
                     entity_id, name = fields["entity_id"], fields["name"]
                     if not (type(entity_id) is type(name) is str):
                         raise TypeError(f"key {entity_id!r}/{name!r}: not str")

@@ -61,12 +61,8 @@ def parse_ngsi_ld(payload: str | bytes, observed_at: datetime | None = None,
                 f"{entity_id}: attribute {name!r} lacks a value object")
         value = check_scalar(attr["value"], f"{entity_id}, attribute {name}")
         if "observedAt" in attr:
-            stamp_raw = attr["observedAt"]
-            if not isinstance(stamp_raw, str):
-                raise SchemaViolation(
-                    f"{entity_id}: observedAt of {name!r} is not a string")
             try:
-                stamp = parse_rfc3339(stamp_raw)
+                stamp = parse_rfc3339(attr["observedAt"])
             except ValueError as exc:
                 raise SchemaViolation(
                     f"{entity_id}: bad observedAt for {name!r}: {exc}") from exc

@@ -15,6 +15,7 @@ import pytest
 
 from twinarch.cli import main
 from twinarch.clock import DEFAULT_EPOCH
+from twinarch.simulation import MAX_HORIZON
 from twinarch.storage import Namespace, Query, SharedStorage
 
 
@@ -406,6 +407,8 @@ REJECTED = [
     ("model-capacity-bool", "model", {"parameters": {
         **SPEC_DOC["parameters"], "capacity": True}}),
     ("scenario-horizon-float", "scenario", {"horizon": 2.7}),
+    ("scenario-horizon-over-bound", "scenario", {"horizon": MAX_HORIZON + 1}),
+    ("scenario-horizon-huge", "scenario", {"horizon": 10**19}),
     ("scenario-seed-string", "scenario", {"seed": "4"}),
     ("scenario-unknown-key", "scenario", {"colour": "red"}),
     ("scenario-of-another-model", "scenario", {"model_id": "other"}),
@@ -720,6 +723,16 @@ def test_count_flags_reject_values_below_one(run_journal, tmp_path,
         main(argv + [flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [MAX_HORIZON + 1, 10**19])
+def test_service_predict_refuses_a_horizon_beyond_the_bound(
+        run_journal, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["service", "predict", "--journal", str(run_journal),
+              "--entity", "TLF01", "--horizon", str(value)])
+    assert exc.value.code == 2
+    assert f"at most {MAX_HORIZON}" in capsys.readouterr().err
 
 
 def test_service_predict_without_history_exits_4(tmp_path, monkeypatch,

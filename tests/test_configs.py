@@ -13,6 +13,7 @@ import pytest
 from twinarch.configs import load_manifest
 from twinarch.errors import ConfigError
 from twinarch.harness import FaultKind
+from twinarch.simulation import MAX_HORIZON
 from twinarch.wire import Source
 
 from conftest import REPO_ROOT
@@ -278,6 +279,23 @@ REJECTED = [
      variant(**{"run.sim.objective_metric": "inflow"}), "monitoring"),
     ("sim-input-not-a-model-input",
      variant(**{"run.sim.input_name": "density"}), "monitoring"),
+    # a horizon too long to run, what-if or forecast
+    ("sim-horizon-over-bound",
+     variant(**{"run.sim.horizon": MAX_HORIZON + 1}), "monitoring"),
+    ("sim-horizon-huge", variant(**{"run.sim.horizon": 10**19}),
+     "monitoring"),
+    ("horizon-over-bound", variant(**{"run.horizon": MAX_HORIZON + 1}),
+     "monitoring"),
+    ("horizon-huge", variant(**{"run.horizon": 10**19}), "monitoring"),
+    # a forecast reads at least one point
+    ("predictor-window-zero", variant(**{"run.predictor.window": 0}),
+     "monitoring"),
+    ("predictor-window-negative", variant(**{"run.predictor.window": -3}),
+     "monitoring"),
+    ("predictor-min-window-zero",
+     variant(**{"run.predictor.min_window": 0}), "monitoring"),
+    ("predictor-moving-average-k-zero",
+     variant(**{"run.predictor.moving_average_k": 0}), "monitoring"),
     # a misspelt key at each manifest level
     ("unknown-manifest-key", variant(output_dri="x"), "monitoring"),
     ("unknown-harness-key", variant(**{"harness.lateny": 2}), "monitoring"),

@@ -4,15 +4,16 @@ Counts, not wall-clock time, so the gates hold on any machine: per
 tick, the records returned by `SharedStorage.crud_read` and
 `SharedStorage.latest` plus the trace points built by
 `ShadowManager.get_shadow` do not grow with the history held in the
-store, and the journal formats each tick's shared stamps once. A
-scenario, monitoring or what-if, is validated once, and its document
-and the model's are encoded once; the what-ifs of a search format no
-instant of their own.
+store, and a run makes the text of each instant once, however many
+modules format or parse it. A scenario, monitoring or what-if, is
+validated once, and its document and the model's are encoded once; the
+what-ifs of a search format no instant of their own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 from collections import Counter
 
@@ -22,7 +23,7 @@ from twinarch import clock, simulation
 from twinarch.configs import load_manifest
 from twinarch.orchestrator import TwinManager, run_loop
 from twinarch.shadows import ShadowManager
-from twinarch.storage import Namespace, SharedStorage
+from twinarch.storage import Namespace, Query, SharedStorage
 from twinarch.wire import common
 
 TICKS = 400
@@ -90,6 +91,24 @@ def _count_calls(monkeypatch, module, name: str, keep=lambda *args: True):
     return calls
 
 
+def _count_made(monkeypatch, name: str, keep=lambda *args: True):
+    """The arguments of each text that the cached `clock.name` makes
+    rather than remembers: a cache as empty as after `cache_clear`,
+    over a counted copy of the uncached function. A cache that an
+    earlier test left warm would hide a run's work."""
+    cached = getattr(clock, name)
+    made = []
+
+    def counted(*args):
+        if keep(*args):
+            made.append(args)
+        return cached.__wrapped__(*args)
+
+    monkeypatch.setattr(clock, name, functools.lru_cache(
+        maxsize=cached.cache_info().maxsize)(counted))
+    return made
+
+
 def test_journal_formats_each_tick_stamp_once(repo_root, tmp_path,
                                               monkeypatch):
     # both stamps of a line change once a tick, and once more for the
@@ -106,8 +125,8 @@ def test_journal_formats_each_tick_stamp_once(repo_root, tmp_path,
             journaling.pop()
 
     monkeypatch.setattr(SharedStorage, "_journal", counted_journal)
-    calls = _count_calls(monkeypatch, clock, "format_rfc3339",
-                         lambda dt: bool(journaling))
+    calls = _count_made(monkeypatch, "_format_utc",
+                        lambda dt: bool(journaling))
     manifest = load_manifest(
         repo_root / "configs" / "demo" / "monitoring" / "manifest.json")
     manager = TwinManager(manifest, journal_path=tmp_path / "journal.jsonl")
@@ -119,6 +138,24 @@ def test_journal_formats_each_tick_stamp_once(repo_root, tmp_path,
     assert len(lines) > 5 * output.ticks_run
     assert output.ticks_run <= len(calls) <= 2 * output.ticks_run + 2, (
         len(calls), output.ticks_run)
+
+
+def test_a_monitoring_run_makes_each_instant_text_once(repo_root, tmp_path,
+                                                       monkeypatch):
+    # every module formats a tick's instant, and the state reads parse
+    # the latest result's base time, through the one cache in `clock`
+    formatted = _count_made(monkeypatch, "_format_utc")
+    parsed = _count_made(monkeypatch, "_parse")
+    manifest = load_manifest(
+        repo_root / "configs" / "demo" / "monitoring" / "manifest.json")
+    output, manager = run_loop(manifest, "monitoring",
+                               journal_path=tmp_path / "journal.jsonl")
+    manager.shutdown()
+    assert len(formatted) <= output.ticks_run + 1, len(formatted)
+    base_times = [record.body["base_time"] for record in
+                  manager.storage.crud_read(Query(Namespace.SIM_RESULTS))]
+    assert len(base_times) == output.ticks_run
+    assert sorted(text for text, in parsed) == sorted(base_times)
 
 
 def _prediction_demo(repo_root, candidates: int):
@@ -134,19 +171,18 @@ def _prediction_demo(repo_root, candidates: int):
 def test_a_search_formats_each_instant_once(repo_root, tmp_path,
                                             monkeypatch):
     # every what-if of a search starts at one base time and completes at
-    # one instant, so the candidates add no formatting; an uncounted run
-    # first leaves the memos as each counted run leaves them
+    # one instant, so the candidates add no formatting
     counts = []
     for candidates in (1, 3, 12):
         manifest = _prediction_demo(repo_root, candidates)
-        calls = _count_calls(monkeypatch, clock, "format_rfc3339")
+        calls = _count_made(monkeypatch, "_format_utc")
         _, manager = run_loop(manifest, "prediction",
                               journal_path=tmp_path / f"{candidates}.jsonl")
         manager.shutdown()
         assert manager.storage.count(Namespace.SIM_RESULTS) == candidates
         counts.append(len(calls))
         monkeypatch.undo()
-    assert counts[1] == counts[2] > 0, counts
+    assert counts[0] == counts[1] == counts[2] > 0, counts
 
 
 def test_the_model_document_is_encoded_once_per_run(repo_root, tmp_path,

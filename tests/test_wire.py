@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import given, strategies as st
 
+from twinarch import clock
 from twinarch.clock import format_rfc3339, parse_rfc3339
 from twinarch.errors import (MalformedJson, MalformedPayload, ParseError,
                              SchemaViolation, UndeclaredTelemetry, UnknownKey,
@@ -159,11 +161,31 @@ def test_ngsi_round_trip(attrs, stamp, unit, location):
 
 # --- timestamps ------------------------------------------------------------
 
+_OFFSETS = st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23),
+                                             max_value=timedelta(hours=23)))
+
+
 @given(stamp=st.datetimes(min_value=datetime(2000, 1, 1),
                           max_value=datetime(2100, 1, 1),
-                          timezones=st.just(timezone.utc)))
+                          timezones=st.just(timezone.utc) | _OFFSETS))
 def test_rfc3339_round_trip(stamp):
-    assert parse_rfc3339(format_rfc3339(stamp)) == stamp
+    # the remembered text is the one the uncached formatter makes of
+    # the UTC instant, on the first call and on every later one
+    text = clock._format_utc.__wrapped__(stamp.astimezone(timezone.utc))
+    assert format_rfc3339(stamp) == format_rfc3339(stamp) == text
+    assert parse_rfc3339(text) == stamp
+
+
+def test_rfc3339_formats_each_fold_as_its_own_instant():
+    # one wall time twice as clocks go back: the two compare and hash
+    # equal, so a text remembered by the wall time would serve both
+    first = datetime(2024, 11, 3, 1, 30, tzinfo=ZoneInfo("America/New_York"))
+    second = first.replace(fold=1)
+    assert first == second and hash(first) == hash(second)
+    texts = [format_rfc3339(dt) for dt in (first, second, first, second)]
+    assert texts == ["2024-11-03T05:30:00Z", "2024-11-03T06:30:00Z"] * 2
+    for dt, text in zip((first, second), texts):
+        assert parse_rfc3339(text) == dt.astimezone(timezone.utc)
 
 
 def test_rfc3339_accepts_any_fraction_width():
@@ -175,10 +197,14 @@ def test_rfc3339_accepts_any_fraction_width():
 
 
 def test_rfc3339_rejects_naive():
-    with pytest.raises(ValueError):
-        parse_rfc3339("2024-12-10T12:00:00")
-    with pytest.raises(ValueError):
-        format_rfc3339(datetime(2024, 12, 10))
+    # a refusal is never remembered: every call refuses again
+    for _ in range(2):
+        for value in ("2024-12-10T12:00:00", "2024-12-10T25:00:00Z", "",
+                      ["2024-12-10T12:00:00Z"], 5, None):
+            with pytest.raises(ValueError):
+                parse_rfc3339(value)
+        with pytest.raises(ValueError):
+            format_rfc3339(datetime(2024, 12, 10))
 
 
 # --- rejection paths -------------------------------------------------------
@@ -243,6 +269,8 @@ def test_ngsi_rejects_bad_documents(epoch):
         '{"id": "e", "flow": {"value": 1}}',                      # no type
         '{"id": "e", "type": "T", "flow": 5}',                    # bare value
         '{"id": "e", "type": "T", "flow": {"value": 1, "observedAt": "junk"}}',
+        '{"id": "e", "type": "T", "flow": {"value": 1, "observedAt": 5}}',
+        '{"id": "e", "type": "T", "flow": {"value": 1, "observedAt": []}}',
         '{"id": "e", "type": "T", "location": {"type": "Point"},'
         ' "flow": {"value": 1}}',
     ]
