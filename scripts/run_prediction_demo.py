@@ -36,7 +36,7 @@ def main() -> int:
                 f"{a.name}({', '.join(f'{k}={v}' for k, v in a.arguments.items())})"
                 for a in plan.actions)
             print(f"plan for {plan.entity_id}: {actions}")
-            print(f"expected {manager.generator.settings.objective_metric}: "
+            print(f"expected {manifest.run.sim.objective_metric}: "
                   f"{plan.expected_objective:.4f}")
             print(f"scenarios simulated: {len(plan.scenario_ids)} "
                   f"(chosen: {plan.scenario_ids[0]})")

@@ -5,7 +5,8 @@ wiring, deviation thresholds, and the candidate catalog. Each section
 can be inline JSON or a path string, resolved relative to the manifest
 file. Validation is strict and happens before any run starts; every
 problem, a key that nothing reads included, raises ConfigError with
-the offending path. Defaults live in the dataclasses built here. A
+the offending path. Defaults live in the dataclasses built here, and
+those of `run.sim`, the run's what-if template, in `_SIM_DEFAULTS`. A
 model or scenario document, in a manifest or for `twinarch sim run`,
 is read the same way and validated as it loads.
 
@@ -29,8 +30,7 @@ from .clock import parse_rfc3339
 from .errors import ConfigError, InvalidSpec, SchemaViolation, UnmappableAction
 from .harness import Fault, FaultKind, HarnessConfig
 from .services import (FORECAST_METHODS, Band, CandidateSolution, Action,
-                       FeedbackConfig, PredictorConfig, SimulationSettings,
-                       check_action)
+                       FeedbackConfig, PredictorConfig, check_action)
 from .shadows import ShadowType
 from .simulation import (MAX_HORIZON, ModelSpec, SimScenario,
                          validate_scenario, validate_spec)
@@ -186,8 +186,9 @@ def sim_scenario(doc: object, where: str, spec: ModelSpec) -> SimScenario:
 class RunConfig:
     entity_id: str
     model: ModelSpec
-    sim: SimulationSettings
+    sim: SimScenario        # the what-if template each scenario starts from
     shadow_types: tuple[ShadowType, ...]
+    input_metric: str       # the metric that feeds the template's input
     predictor: PredictorConfig = PredictorConfig()
     adapter: AdapterConfig = AdapterConfig(Direction.P2D)
     feedback: FeedbackConfig = FeedbackConfig()
@@ -277,6 +278,9 @@ _REMOVED_SWITCHES = ("low_latency_ingest", "feedback_on_change_only")
 _SIM = {"objective_metric": _text, "input_metric": _text,
         "input_name": _text, "horizon": _int, "step_size": _float,
         "seed": _int}
+# the run.sim defaults that a SimScenario does not already have
+_SIM_DEFAULTS = {"objective_metric": "density", "input_metric": "vehicleFlow",
+                 "input_name": "inflow", "horizon": 10}
 _PREDICTOR = {"method": _forecast_method, "window": _count,
               "min_window": _count, "moving_average_k": _count,
               "attributes": _texts}
@@ -328,14 +332,14 @@ def _parse_run(doc: dict) -> RunConfig:
     }, required=("entity_id", "model", "shadow_types"))
     for key in _REMOVED_SWITCHES:
         fields.pop(key, None)
-    sim = fields["sim"] = SimulationSettings(
-        model_id=fields["model"].model_id, **fields.get("sim", {}))
-    # the run's scenarios, refused here by the engine's own rule
-    sim_scenario({"scenario_id": "sim", "model_id": sim.model_id,
-                  "input_series": {sim.input_name: []},
-                  "horizon": sim.horizon, "step_size": sim.step_size,
-                  "objective_metric": sim.objective_metric},
-                 f"{where}.sim", fields["model"])
+    model, sim = fields["model"], {**_SIM_DEFAULTS, **fields.get("sim", {})}
+    fields["input_metric"] = sim.pop("input_metric")
+    template = fields["sim"] = SimScenario(
+        "sim", model.model_id, input_series={sim.pop("input_name"): []}, **sim)
+    try:   # refused here by the engine's own rule
+        validate_scenario(template, model)
+    except InvalidSpec as exc:
+        raise ConfigError(f"{where}.sim: {exc}") from exc
     try:
         return RunConfig(**fields)
     except ValueError as exc:
@@ -412,5 +416,10 @@ def load_manifest(path: str | Path, loop: str = "monitoring") -> Manifest:
         "output_dir": _text}, required=required)
     if "thresholds" in top:
         top["bands"] = top.pop("thresholds")
+    objective = top["run"].sim.objective_metric
+    if loop == "prediction" and objective not in top["bands"]:
+        # the search scores each candidate by its objective's band
+        raise ConfigError(f"thresholds.bands: no band for the objective "
+                          f"metric {objective!r} (run.sim.objective_metric)")
     top["output_dir"] = base / top.get("output_dir", Manifest.output_dir)
     return Manifest(**top)

@@ -61,7 +61,8 @@ class InvalidQuery(TwinArchError):
 
 
 class JournalCorrupt(TwinArchError):
-    """A complete journal line is not a record; names the line number."""
+    """A complete journal line is not a record, or a replayed record is
+    not what its namespace holds; names the line number or the record."""
 
 
 # --- shadows / models ------------------------------------------------------

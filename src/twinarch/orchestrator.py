@@ -25,7 +25,7 @@ from .clock import DEFAULT_EPOCH, LogicalClock
 from .configs import Manifest
 from .errors import NoFeasibleSolution, ParseError
 from .harness import PhysicalHarness
-from .services import (Band, Deviation, DeviationDetector, Feedback,
+from .services import (Deviation, DeviationDetector, Feedback,
                        FeedbackExecutor, Plan, Predictor, ScenarioGenerator,
                        SolutionFinder, StateMonitor, TwinState)
 from .shadows import ShadowManager
@@ -88,15 +88,14 @@ class TwinManager:
         self.feedback_executor = FeedbackExecutor(self.d2p, self.storage,
                                                   run.feedback)
 
-        settings = dataclasses.replace(run.sim, seed=run.sim.seed + seed)
-        self.generator = ScenarioGenerator(self.monitor, settings)
+        self.generator = ScenarioGenerator(self.monitor, run.sim,
+                                           seed_offset=seed)
         self.finder = SolutionFinder(
             generator=self.generator,
             tracer=self.tracer,
             simulate=self.new_scenario_sim,
             catalog=manifest.candidates,
-            desired_band=manifest.bands.get(settings.objective_metric)
-            or next(iter(manifest.bands.values()), Band(lo=0.0, hi=1.0)))
+            desired_band=manifest.bands.get(run.sim.objective_metric))
 
     # -- shared hops -------------------------------------------------------------
 
@@ -142,28 +141,20 @@ class TwinManager:
     # -- monitoring loop -----------------------------------------------------------
 
     def _current_conditions_scenario(self, tick: int) -> SimScenario:
-        run = self.run_config
-        settings = self.generator.settings
-        inflow = 0.0
+        run, generator = self.run_config, self.generator
         latest = self.shadow_manager.latest_points(run.entity_id).get(
-            settings.input_metric)
-        if latest is not None and is_number(latest.value):
-            inflow = float(latest.value)
-        initial = self.generator.initial_state_for(run.entity_id)
+            run.input_metric)
+        inflow = (float(latest.value)
+                  if latest is not None and is_number(latest.value) else 0.0)
         # one step ending exactly at this tick's timestamp, so fresh
         # telemetry at the same instant outranks it in fusion
         base = self.clock.at(tick) - timedelta(seconds=run.tick_interval)
-        return SimScenario(
-            scenario_id=f"mon-{tick}",
-            model_id=run.model.model_id,
-            initial_state=initial,
-            input_series={settings.input_name: [inflow]},
-            horizon=1,
-            step_size=run.tick_interval,
-            seed=settings.seed,
-            entity_id=run.entity_id,
-            objective_metric=settings.objective_metric,
-            base_time=base)
+        return dataclasses.replace(
+            generator.template, scenario_id=f"mon-{tick}",
+            initial_state=generator.initial_state_for(run.entity_id),
+            input_series={generator.input_name: [inflow]}, horizon=1,
+            step_size=run.tick_interval, seed=generator.seed,
+            entity_id=run.entity_id, base_time=base)
 
     def run_monitoring(self) -> RunOutput:
         run = self.run_config
@@ -207,7 +198,7 @@ class TwinManager:
     # -- prediction loop -------------------------------------------------------------
 
     def _pick_deviation(self, deviations: list[Deviation]) -> Deviation:
-        input_metric = self.generator.settings.input_metric
+        input_metric = self.run_config.input_metric
         return next((d for d in deviations if d.metric == input_metric),
                     deviations[0])
 
@@ -237,8 +228,7 @@ class TwinManager:
                             "value": deviation.value,
                             "severity": deviation.severity.value,
                             "kind": deviation.kind.value})
-        inflow_series = prediction.series_for(
-            self.generator.settings.input_metric)
+        inflow_series = prediction.series_for(run.input_metric)
         if not inflow_series:
             inflow_series = [deviation.value] * run.horizon
         base_time = self.clock.at(self.max_ticks)

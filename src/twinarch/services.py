@@ -20,7 +20,7 @@ simple and documented so independent oracles can recompute them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from typing import Callable, Sequence
@@ -402,19 +402,6 @@ class DeviationDetector:
 # ScenarioGenerator / SolutionFinder
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimulationSettings:
-    """How candidate what-if scenarios are assembled."""
-
-    model_id: str
-    objective_metric: str = "density"
-    input_metric: str = "vehicleFlow"   # predicted metric feeding the model
-    input_name: str = "inflow"          # model input it maps to
-    horizon: int = 10
-    step_size: float = 1.0
-    seed: int = 0
-
-
 def check_action(action: Action) -> None:
     """Refuse an action that `ScenarioGenerator.gen_scenario` cannot
     map: extend-green needs a numeric `seconds`, divert-traffic a
@@ -439,10 +426,14 @@ class ScenarioGenerator:
     series by (1 - fraction). `check_action` refuses any other action.
     """
 
-    def __init__(self, state_monitor: StateMonitor,
-                 settings: SimulationSettings) -> None:
+    def __init__(self, state_monitor: StateMonitor, template: SimScenario,
+                 seed_offset: int = 0) -> None:
+        # the run's what-if template: model, input, horizon, step and
+        # objective; each scenario sets only what it changes
         self.state_monitor = state_monitor
-        self.settings = settings
+        self.template = template
+        (self.input_name,) = template.input_series
+        self.seed = template.seed + seed_offset
         self._counter = 0
 
     def initial_state_for(self, entity_id: str) -> dict[str, float]:
@@ -450,7 +441,7 @@ class ScenarioGenerator:
         objective metric, or 0 when nothing is known yet. A value that is
         not a finite number, such as a device's string "NaN" or "0.5" or
         a boolean, counts as unknown too, as it does in forecasts."""
-        metric = self.settings.objective_metric
+        metric = self.template.objective_metric
         try:
             value = self.state_monitor.get_state(entity_id).metrics.get(metric)
         except NotFound:
@@ -476,18 +467,13 @@ class ScenarioGenerator:
                 fraction = float(action.arguments["fraction"])
                 series = [v * (1.0 - fraction) for v in series]
         self._counter += 1
-        return SimScenario(
+        return replace(
+            self.template,
             scenario_id=f"whatif-{self._counter}-{candidate.candidate_id}",
-            model_id=self.settings.model_id,
             initial_state=dict(initial_state),
-            input_series={self.settings.input_name: series},
-            horizon=self.settings.horizon,
-            step_size=self.settings.step_size,
-            overrides=overrides,
-            seed=self.settings.seed,
-            entity_id=deviation.entity_id,
-            objective_metric=self.settings.objective_metric,
-            base_time=base_time)
+            input_series={self.input_name: series},
+            overrides=overrides, seed=self.seed,
+            entity_id=deviation.entity_id, base_time=base_time)
 
 
 def candidate_sort_key(candidate: CandidateSolution,
@@ -507,7 +493,7 @@ class SolutionFinder:
     def __init__(self, generator: ScenarioGenerator, tracer: Tracer,
                  simulate: Callable[[SimScenario], float | None],
                  catalog: Sequence[CandidateSolution],
-                 desired_band: Band) -> None:
+                 desired_band: Band | None) -> None:
         # simulate runs one scenario and returns its objective:
         # TwinManager.new_scenario_sim
         self.generator = generator
@@ -521,6 +507,9 @@ class SolutionFinder:
                       base_time: datetime) -> Plan:
         if not self.catalog:
             raise NoFeasibleSolution("candidate catalog is empty")
+        metric = self.generator.template.objective_metric
+        if self.desired_band is None:
+            raise MissingThreshold(f"no band for the objective {metric!r}")
         # one snapshot: every candidate simulates from the same state
         initial_state = self.generator.initial_state_for(deviation.entity_id)
         scored: list[tuple[tuple, CandidateSolution, float, str]] = []
@@ -543,9 +532,8 @@ class SolutionFinder:
         feasible = [entry for entry in scored if entry[0][0] == 0.0]
         if not feasible:
             raise NoFeasibleSolution(
-                f"none of {len(self.catalog)} candidates restores "
-                f"{self.generator.settings.objective_metric!r} to "
-                f"[{self.desired_band.lo}, {self.desired_band.hi}]")
+                f"none of {len(self.catalog)} candidates restores {metric!r} "
+                f"to [{self.desired_band.lo}, {self.desired_band.hi}]")
         best = min(feasible, key=lambda entry: entry[0])
         _, candidate, objective, chosen_id = best
         ordered = [chosen_id] + [s for s in scenario_ids if s != chosen_id]

@@ -23,7 +23,7 @@ import bisect
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from .errors import DuplicateShadow, InvalidQuery
+from .errors import DuplicateShadow, InvalidQuery, JournalCorrupt
 from .storage import Namespace, Query, Record, RecordKey, SharedStorage
 from .wire.common import Measurement, Scalar
 
@@ -44,6 +44,21 @@ class ShadowType:
     def covers(self, m: Measurement) -> bool:
         return (m.entity_type == self.entity_type
                 and m.attribute in self.attribute_set)
+
+
+def _descriptor_type(record: Record) -> ShadowType:
+    """The shadow type a descriptor holds; a body of any other shape is
+    JournalCorrupt, naming the record."""
+    body = record.body if isinstance(record.body, dict) else {}
+    attributes = body.get("attributes")
+    texts = ([body.get("type"), body.get("entity_type"), *attributes]
+             if isinstance(attributes, list) and attributes else [None])
+    if not all(isinstance(text, str) and text for text in texts):
+        raise JournalCorrupt(
+            f"shadow descriptor {record.key.entity_id}/{record.key.name}: "
+            f"type and entity_type must be non-empty strings, and "
+            f"attributes a non-empty list of them")
+    return ShadowType(body["type"], frozenset(attributes), body["entity_type"])
 
 
 @dataclass(frozen=True)
@@ -100,11 +115,7 @@ class ShadowManager:
         for record in self.storage.crud_read(Query(namespace=Namespace.SHADOWS)):
             if not record.key.name.endswith(".__descriptor__"):
                 continue
-            body = record.body if isinstance(record.body, dict) else {}
-            shadow_type = ShadowType(
-                name=body["type"],
-                attribute_set=frozenset(body["attributes"]),
-                entity_type=body["entity_type"])
+            shadow_type = _descriptor_type(record)
             if self._attach(shadow_type, record.key.entity_id,
                             record.key.observed_at) is not None:
                 count += 1

@@ -81,10 +81,10 @@ def payload_digest(payload: object) -> str:
     return hashlib.sha256(encode(payload).encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One recorded hop: its tick, the hop, and its payload's digest."""
+
     tick: int
-    seq: int
     source: str
     target: str
     message: str
@@ -110,9 +110,8 @@ class Tracer:
         if (source, target, message) not in HOPS:
             raise ValueError(f"undeclared trace hop: "
                              f"{_describe_hop(source, target, message)}")
-        event = TraceEvent(tick=self.tick, seq=len(self.events),
-                           source=source, target=target, message=message,
-                           digest=payload_digest(payload))
+        event = TraceEvent(self.tick, source, target, message,
+                           payload_digest(payload))
         self.events.append(event)
         return event
 

@@ -170,6 +170,30 @@ def test_a_revision_out_of_sequence_is_corrupt(tmp_path, monkeypatch,
         f"error: JournalCorrupt: {journal}: line 2: revision 7, expected 1")
 
 
+@pytest.mark.parametrize("command", [
+    ["shadow", "get"], ["service", "predict", "--entity", "TLF01",
+                        "--horizon", "3"]])
+@pytest.mark.parametrize("change", [
+    {"attributes": [["vehicleFlow"]]}, {"attributes": 5},
+    {"attributes": "vehicleFlow"}, {"attributes": []}, {"type": None},
+    {"type": ""}, {"entity_type": 7}], ids=repr)
+def test_a_malformed_shadow_descriptor_is_refused_naming_it(
+        tmp_path, repo_root, capsys, command, change):
+    lines = (repo_root / "out" / "prediction" / "journal.jsonl").read_text(
+        encoding="utf-8").splitlines(True)
+    line = json.loads(lines[0])
+    assert line["key"]["name"] == "traffic.__descriptor__"
+    line["body"].update(change)
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text(json.dumps(line) + "\n" + "".join(lines[1:]),
+                       encoding="utf-8")
+    capsys.readouterr()
+    assert main([*command[:2], "--journal", str(journal), *command[2:]]) == 4
+    assert capsys.readouterr().err.startswith(
+        "error: JournalCorrupt: shadow descriptor "
+        "TLF01/traffic.__descriptor__: ")
+
+
 def test_ingest_onto_a_corrupt_journal_leaves_it_alone(tmp_path, monkeypatch,
                                                        capsys):
     journal = tmp_path / "journal.jsonl"

@@ -66,6 +66,10 @@ def test_full_manifest_parses_with_defaults(tmp_path):
     assert manifest.run.tick_interval == 1.0          # defaults kick in
     assert manifest.run.adapter.format is Source.ULTRALIGHT
     assert manifest.run.sim.model_id == "m1"
+    sim = manifest.run.sim         # the run's what-if template
+    assert (sim.scenario_id, sim.input_series, sim.horizon, sim.step_size,
+            sim.seed, sim.objective_metric, manifest.run.input_metric) == (
+        "sim", {"inflow": []}, 10, 1.0, 0, "density", "vehicleFlow")
     assert manifest.bands["density"].hi == 0.7
     assert manifest.candidates[0].candidate_id == "extend"
     assert manifest.candidates[0].actions[0].arguments == {"seconds": 20}
@@ -279,6 +283,9 @@ REJECTED = [
      variant(**{"run.sim.objective_metric": "inflow"}), "monitoring"),
     ("sim-input-not-a-model-input",
      variant(**{"run.sim.input_name": "density"}), "monitoring"),
+    # the search scores each candidate by its objective's band
+    ("prediction-no-objective-band", variant(**{"thresholds.bands": {
+        "vehicleFlow": {"lo": 0.0, "hi": 43.0}}}), "prediction"),
     # a horizon too long to run, what-if or forecast
     ("sim-horizon-over-bound",
      variant(**{"run.sim.horizon": MAX_HORIZON + 1}), "monitoring"),

@@ -302,10 +302,10 @@ def test_a_reading_that_is_not_a_number_feeds_no_inflow(repo_root, value):
     try:
         run = manifest.run
         assert manager.shadow_manager.update_from_measurement(Measurement(
-            run.entity_id, run.adapter.entity_type, run.sim.input_metric,
+            run.entity_id, run.adapter.entity_type, run.input_metric,
             value, manager.clock.at(0)))
         scenario = manager._current_conditions_scenario(1)
-        assert scenario.input_series == {run.sim.input_name: [0.0]}
+        assert scenario.input_series == {manager.generator.input_name: [0.0]}
     finally:
         manager.shutdown()
 

@@ -17,10 +17,10 @@ from twinarch.services import (Action, Band, CandidateSolution, Deviation,
                                FeedbackConfig, FeedbackExecutor, Plan,
                                Prediction, Predictor, PredictorConfig,
                                Provenance, ScenarioGenerator, Severity,
-                               SimulationSettings, SolutionFinder,
-                               StateMonitor, TwinState, candidate_sort_key,
-                               fit_line)
+                               SolutionFinder, StateMonitor, TwinState,
+                               candidate_sort_key, fit_line)
 from twinarch.shadows import ShadowManager, ShadowType
+from twinarch.simulation import SimScenario
 from twinarch.storage import Namespace, Query, RecordKey, SharedStorage
 from twinarch.tracing import Tracer, payload_digest
 from twinarch.wire import Measurement
@@ -293,7 +293,8 @@ def test_prediction_reports_first_violating_step_per_metric():
 
 # --- scenario generation ---------------------------------------------------------
 
-SETTINGS = SimulationSettings(model_id="m1", horizon=4, seed=3)
+SETTINGS = SimScenario("sim", "m1", input_series={"inflow": []}, horizon=4,
+                       seed=3, objective_metric="density")
 
 
 def generator(points=(("density", 0.9, 5),)):
@@ -425,6 +426,13 @@ def test_finder_raises_when_nothing_restores_the_band():
     skipped, _ = finder_with({"a": None})
     with pytest.raises(NoFeasibleSolution):
         skipped.find_solution(a_deviation(), [1.0], ts(0))
+
+
+def test_finder_without_its_objectives_band_simulates_nothing():
+    finder, submitted = finder_with({"a": 0.1}, band=None)
+    with pytest.raises(MissingThreshold, match="'density'"):
+        finder.find_solution(a_deviation(), [50.0], ts(12))
+    assert submitted == [] and finder.tracer.events == []
 
 
 def test_candidate_sort_key_is_total_and_deterministic():

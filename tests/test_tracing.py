@@ -17,13 +17,13 @@ from twinarch.tracing import (HOPS, ChoiceRule, Hop, SequenceTemplate,
                               payload_digest, prediction_template)
 
 
-def ev(source, target, message, tick=0, seq=0):
-    return TraceEvent(tick=tick, seq=seq, source=source, target=target,
+def ev(source, target, message, tick=0):
+    return TraceEvent(tick=tick, source=source, target=target,
                       message=message, digest="")
 
 
 def events(*triples):
-    return [ev(s, t, m, seq=i) for i, (s, t, m) in enumerate(triples)]
+    return [ev(s, t, m) for s, t, m in triples]
 
 
 # --- recording ----------------------------------------------------------------
@@ -47,7 +47,7 @@ def test_tracer_validates_elements_against_the_catalog():
     tracer.advance(3)
     event = tracer.record("TwinManager", "ModelManager", "executeSimulation",
                           payload={"x": 1})
-    assert event.tick == 3 and event.seq == 0
+    assert event.tick == 3 and tracer.events == [event]
     with pytest.raises(ValueError):
         tracer.record("TwinManager", "Nobody", "hello")
     with pytest.raises(ValueError):
